@@ -23,9 +23,10 @@ import (
 // version 4 adds the provenance record (git commit, dirty flag, Go
 // version, GOMAXPROCS) so archived bench files say what produced them;
 // version 5 records the exec engine in the config and per-scenario
-// execution figures (exec wall time, peak exec parallelism) from the
-// compiled-execution engine's counters.
-const BenchSchema = "irm-bench/5"
+// execution figures from the compiled-execution engine's counters;
+// version 6 drops the per-scenario exec parallelism (units execute one
+// at a time, on the committer, in commit order).
+const BenchSchema = "irm-bench/6"
 
 // BenchFile is the machine-readable output of `irm bench`: the edit
 // matrix of the paper's evaluation (cold / null / implementation edit
@@ -98,13 +99,9 @@ type BenchScenario struct {
 	Allocs        uint64 `json:"allocs"`
 	AllocBytes    uint64 `json:"alloc_bytes"`
 	AllocsPerUnit uint64 `json:"allocs_per_unit"`
-	// ExecNs is the summed unit-execution time (counter time.exec_ns)
-	// and ExecParallelism the peak number of units executing at once
-	// (counter exec.parallelism.max) — the schema-5 view of the
-	// parallel exec stage.
-	ExecNs          int64      `json:"exec_ns"`
-	ExecParallelism int64      `json:"exec_parallelism"`
-	Report          obs.Report `json:"report"`
+	// ExecNs is the summed unit-execution time (counter time.exec_ns).
+	ExecNs int64      `json:"exec_ns"`
+	Report obs.Report `json:"report"`
 }
 
 // BenchSpeedup compares the cold build across scheduler widths — the
@@ -243,6 +240,14 @@ func cmdBench(args []string) {
 			ExecEngine: engine.String(),
 		},
 	}
+	// A single-core run cannot show parallel speedup, and a dirty tree
+	// names no commit the numbers belong to: say so loudly.
+	if bf.Provenance.GOMAXPROCS == 1 {
+		fmt.Fprintln(os.Stderr, "irm bench: WARNING: gomaxprocs is 1 — this recording cannot support a scaling claim; rerun on a multi-core machine")
+	}
+	if bf.Provenance.GitDirty {
+		fmt.Fprintln(os.Stderr, "irm bench: WARNING: git tree is dirty — this recording names no commit and cannot support a scaling claim; commit or stash first")
+	}
 	coldWall := map[int]int64{}
 	for _, w := range widths {
 		storeDir, err := os.MkdirTemp("", "irm-bench-store-")
@@ -273,14 +278,13 @@ func cmdBench(args []string) {
 				coldWall[w] = int64(wall)
 			}
 			run.Scenarios = append(run.Scenarios, BenchScenario{
-				Name:            sc.name,
-				WallNs:          int64(wall),
-				Allocs:          allocs,
-				AllocBytes:      allocBytes,
-				AllocsPerUnit:   allocs / uint64(len(p.Files)),
-				ExecNs:          m.Counters["time.exec_ns"],
-				ExecParallelism: m.Counters["exec.parallelism.max"],
-				Report:          m.Report(sc.name),
+				Name:          sc.name,
+				WallNs:        int64(wall),
+				Allocs:        allocs,
+				AllocBytes:    allocBytes,
+				AllocsPerUnit: allocs / uint64(len(p.Files)),
+				ExecNs:        m.Counters["time.exec_ns"],
+				Report:        m.Report(sc.name),
 			})
 			fmt.Fprintf(os.Stderr, "irm bench: -j%-2d %-14s %10v  compiled %3d, loaded %3d, cutoffs %3d\n",
 				w, sc.name, wall.Round(time.Microsecond), m.Stats.Compiled, m.Stats.Loaded, m.Stats.Cutoffs)

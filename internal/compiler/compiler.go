@@ -75,7 +75,7 @@ type Unit struct {
 	// Prog is Code in compiled form (interp.CompileFn): the closure
 	// tree the default exec engine applies. Compile always sets it;
 	// V2 bin reads rebuild it from CodeBytes; V1 reads leave it nil
-	// and ExecuteOn compiles on demand.
+	// and ExecuteObserved compiles on demand.
 	Prog *interp.CompiledFn
 	// CodeBytes is the serialized slot layout of Prog — the bin
 	// file's code section (binfile V2). It does not feed StatPid:
@@ -222,31 +222,19 @@ func Execute(m *interp.Machine, u *Unit, dyn *dynenv.Env) error {
 
 // ExecuteObserved is Execute under instrumentation: the unit's run is
 // wrapped in an "execute" phase span (a child of parent, on the
-// coordinator lane) with "imports", "apply", and "bind" sub-phases —
+// coordinator lane 0) with "imports", "apply", and "bind" sub-phases —
 // import-vector lookup, closure application, export binding — and the
 // exec.* counters are recorded on rec. A nil parent and nil rec make
 // it exactly Execute; both are safe independently.
-func ExecuteObserved(m *interp.Machine, u *Unit, dyn *dynenv.Env,
-	parent *obs.Span, rec obs.Recorder) error {
-	return ExecuteOn(m, u, dyn, parent, rec, 0)
-}
-
-// ExecuteOn is ExecuteObserved with an explicit span lane — the
-// parallel exec stage gives each exec worker its own Perfetto track
-// (lane jobs+1..2·jobs; the sequential paths pass 0, the coordinator)
-// — and a dynenv.Target instead of a concrete env: the sequential
-// paths pass the session env itself (binds commit directly), the
-// parallel exec stage a copy-on-write dynenv.View whose binds the
-// committer replays in commit order (DESIGN.md §4j).
 //
 // The apply sub-phase is where the machine's Engine matters: the tree
 // walker evaluates u.Code to a closure and applies it; the compiled
 // engine applies u.Prog directly (compiling it on demand when a V1 bin
 // left Prog nil — counter code.compiles).
-func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
-	parent *obs.Span, rec obs.Recorder, lane int) error {
+func ExecuteObserved(m *interp.Machine, u *Unit, dyn *dynenv.Env,
+	parent *obs.Span, rec obs.Recorder) error {
 
-	espan := parent.Child(obs.CatPhase, "execute").Lane(lane).Arg("unit", u.Name)
+	espan := parent.Child(obs.CatPhase, "execute").Lane(0).Arg("unit", u.Name)
 	defer espan.End()
 	obs.Count(rec, "exec.units", 1)
 
@@ -300,10 +288,8 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 		}
 	}
 	if profiled {
-		// Close the window on every path, including a failed apply:
-		// a sequential run would have accumulated the partial profile
-		// before dying, so the parallel build must too (the committer
-		// replays these counters in commit order either way).
+		// Close the window on every path, including a failed apply: a
+		// failing unit's partial profile still merges into the build's.
 		if up := m.EndUnitProfile(); up != nil {
 			obs.Count(rec, "prof.units", 1)
 			obs.Count(rec, "prof.samples", up.Samples())

@@ -271,14 +271,12 @@ type Manager struct {
 	// Overlapping Builds must not share one collector (their per-build
 	// counter deltas would mix); concurrent managers get one each.
 	Obs *obs.Collector
-	// MaxSteps, when non-zero, bounds the session's evaluation steps:
-	// each unit execution is individually limited to MaxSteps (its
-	// machine fork crashes with "step budget exceeded" past it), and
-	// the cumulative session total is enforced at commit — the build
-	// fails on the unit whose execution pushes the total over, the
-	// same unit a sequential run would have died inside (DESIGN.md
-	// §4j). Step granularity is engine-specific (tree: per node;
-	// closure: per application).
+	// MaxSteps, when non-zero, bounds the session's cumulative
+	// evaluation steps: the session machine crashes with "step budget
+	// exceeded" inside the unit whose execution pushes the total over,
+	// failing the build on that unit at any -j (DESIGN.md §4j). Step
+	// granularity is engine-specific (tree: per node; closure: per
+	// application).
 	MaxSteps uint64
 	// ProfilePeriod, when non-zero, enables the SML-level execution
 	// profiler (DESIGN.md §4k) for this manager's builds: every unit

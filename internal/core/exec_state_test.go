@@ -1,8 +1,9 @@
-// Parallel-execution shared-state coverage (DESIGN.md §4j): units
-// whose imports reach a mutable cell (ref/array) must execute in
-// commit order — the sequential interleaving — at any -j, under -race;
-// speculative executions must leave no trace in the session dynenv;
-// and the session step budget must abort cumulatively at any width.
+// Execution shared-state coverage (DESIGN.md §4j): units that share a
+// mutable cell (ref/array) must see the sequential interleaving at any
+// -j, under -race, because every unit executes on the committer in
+// commit order; a failing execution must leave identical traces at
+// every width; and the session step budget must abort cumulatively at
+// any width.
 package core_test
 
 import (
@@ -13,13 +14,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // sharedRefFiles: a base unit exports a ref; four sibling writers
 // mutate it with non-commuting operations; a reader prints it. None of
-// the mutators depend on each other, so only the §4j mutable-import
-// rule — not the import DAG — forces the sequential order:
+// the mutators depend on each other, so only commit-order execution —
+// not the import DAG — forces the sequential order:
 // ((((1*2)+3)*5)+7) = 32.
 func sharedRefFiles() []core.File {
 	return []core.File{
@@ -32,28 +32,47 @@ func sharedRefFiles() []core.File {
 	}
 }
 
-// TestExecSharedRefSequentialOrder: sibling units sharing a ref read
-// and write it in commit order at every width — repeatedly, so a
-// regression shows up as both nondeterministic output and (under
+// sharedArrayFiles is sharedRefFiles with the cell an array slot: the
+// same non-commuting updates through Array.update reach the same 32.
+func sharedArrayFiles() []core.File {
+	upd := func(op string) string {
+		return "Array.update (Base.a, 0, Array.sub (Base.a, 0) " + op + ")"
+	}
+	return []core.File{
+		{Name: "base.sml", Source: "structure Base = struct val a = Array.array (1, 1) end"},
+		{Name: "m1.sml", Source: "structure M1 = struct val _ = " + upd("* 2") + " end"},
+		{Name: "m2.sml", Source: "structure M2 = struct val _ = " + upd("+ 3") + " end"},
+		{Name: "m3.sml", Source: "structure M3 = struct val _ = " + upd("* 5") + " end"},
+		{Name: "m4.sml", Source: "structure M4 = struct val _ = " + upd("+ 7") + " end"},
+		{Name: "last.sml", Source: "structure Last = struct val _ = print (Int.toString (Array.sub (Base.a, 0))) end"},
+	}
+}
+
+// TestExecSharedRefSequentialOrder: sibling units sharing a ref or an
+// array read and write it in commit order at every width — repeatedly,
+// so a regression shows up as both nondeterministic output and (under
 // -race) a data race on the cell.
 func TestExecSharedRefSequentialOrder(t *testing.T) {
-	for _, jobs := range []int{1, 8} {
-		for round := 0; round < 10; round++ {
-			var out bytes.Buffer
-			m := &core.Manager{Policy: core.PolicyCutoff, Store: core.NewMemStore(),
-				Stdout: &out, Jobs: jobs}
-			if _, err := m.Build(sharedRefFiles()); err != nil {
-				t.Fatalf("jobs=%d round %d: %v", jobs, round, err)
-			}
-			if got := out.String(); got != "32" {
-				t.Fatalf("jobs=%d round %d: printed %q, want \"32\" (sequential order)",
-					jobs, round, got)
-			}
-			// base is pure (it only creates the ref); the four mutators
-			// and the reader import it, so exactly 5 executions are
-			// serialized — at -j1 as much as -j8.
-			if got := m.Counters["exec.serialized"]; got != 5 {
-				t.Fatalf("jobs=%d round %d: exec.serialized=%d, want 5", jobs, round, got)
+	inputs := []struct {
+		name  string
+		files []core.File
+	}{
+		{"ref", sharedRefFiles()},
+		{"array", sharedArrayFiles()},
+	}
+	for _, in := range inputs {
+		for _, jobs := range []int{1, 8} {
+			for round := 0; round < 10; round++ {
+				var out bytes.Buffer
+				m := &core.Manager{Policy: core.PolicyCutoff, Store: core.NewMemStore(),
+					Stdout: &out, Jobs: jobs}
+				if _, err := m.Build(in.files); err != nil {
+					t.Fatalf("%s jobs=%d round %d: %v", in.name, jobs, round, err)
+				}
+				if got := out.String(); got != "32" {
+					t.Fatalf("%s jobs=%d round %d: printed %q, want \"32\" (sequential order)",
+						in.name, jobs, round, got)
+				}
 			}
 		}
 	}
@@ -61,8 +80,8 @@ func TestExecSharedRefSequentialOrder(t *testing.T) {
 
 // TestExecSharedRefThroughClosure: the mutable cell is never imported
 // directly — the siblings reach it only through another unit's
-// exported closures — so the serialization decision must follow value
-// reachability, not just import types.
+// exported closures — so the order must hold for state reached through
+// values, not just for imported cells.
 func TestExecSharedRefThroughClosure(t *testing.T) {
 	files := []core.File{
 		{Name: "a.sml", Source: "structure A = struct val r = ref 0 end"},
@@ -86,32 +105,10 @@ func TestExecSharedRefThroughClosure(t *testing.T) {
 	}
 }
 
-// TestExecPureProjectNotSerialized: a workload without refs or arrays
-// must pay nothing for the mutable-import rule — no unit serialized,
-// at any width, cold and warm.
-func TestExecPureProjectNotSerialized(t *testing.T) {
-	p := workload.Generate(workload.Config{
-		Shape: workload.Diamond, Units: 13, LinesPerUnit: 8,
-		FunsPerUnit: 2, LayerWidth: 4, Seed: 21,
-	})
-	store := core.NewMemStore()
-	for _, pass := range []string{"cold", "warm"} {
-		m := &core.Manager{Policy: core.PolicyCutoff, Store: store, Stdout: io.Discard, Jobs: 8}
-		if _, err := m.Build(p.Files); err != nil {
-			t.Fatalf("%s: %v", pass, err)
-		}
-		if got := m.Counters["exec.serialized"]; got != 0 {
-			t.Fatalf("%s: exec.serialized=%d on a pure project, want 0", pass, got)
-		}
-	}
-}
-
 // TestExecFailureSpeculationCounters: a unit failing at *execution*
-// (uncaught Div) aborts the build at its commit; speculative
-// executions of units after it in commit order must leave no trace —
+// (uncaught Div) aborts the build at its commit; units compiled
+// speculatively after it in commit order must leave no trace —
 // identical explains, error, and deterministic counters at -j1/-j8.
-// (Their dynenv binds go to the build's pending overlay, discarded
-// with it; the dynenv unit tests pin that binds never write through.)
 func TestExecFailureSpeculationCounters(t *testing.T) {
 	files := []core.File{
 		{Name: "a.sml", Source: "structure A = struct val one = 1 end"},

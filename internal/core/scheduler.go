@@ -6,8 +6,8 @@
 // exploits exactly that property: a worker pool compiles (or
 // rehydrates) units the moment their dependencies' interface pids are
 // known, while a single committer applies the effectful tail of each
-// unit's turn — execute, accept, save, explain — strictly in the
-// legacy topological order.
+// unit's turn — execute, accept, save, explain — strictly in
+// topological order.
 //
 // The split is what makes parallel builds deterministic:
 //
@@ -20,13 +20,14 @@
 //     flushes each buffer in commit order, so the final Stats are the
 //     sums the sequential build would have produced — speculative work
 //     past a failed unit is discarded unflushed and leaves no trace.
-//   - Unit execution runs on a second pool ordered by the import DAG
-//     plus the §4j mutable-import rule (units whose imports reach a
-//     ref or array run in commit order), against copy-on-write dynenv
-//     views whose binds only the committer publishes.
-//   - Explain records, log lines, store writes, dynenv publication,
-//     and stdout replay all happen on the committer in topological
-//     order.
+//   - Unit execution (the paper's execute: codeUnit × dynenv → dynenv)
+//     runs on the committer, in commit order, threading the one
+//     session dynamic environment through the units exactly as a
+//     sequential run does. Shared mutable state (a ref or array one
+//     unit exports and its siblings update) therefore sees the
+//     sequential interleaving by construction.
+//   - Explain records, log lines, store writes, and stdout all happen
+//     on the committer in topological order.
 //
 // Error semantics: the first failure in *commit order* (the same unit
 // the sequential build would have failed on) aborts the build. Units
@@ -36,7 +37,6 @@
 package core
 
 import (
-	"bytes"
 	"container/heap"
 	"context"
 	"fmt"
@@ -49,9 +49,7 @@ import (
 	"repro/internal/binfile"
 	"repro/internal/compiler"
 	"repro/internal/depend"
-	"repro/internal/dynenv"
 	"repro/internal/env"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/pickle"
 	"repro/internal/pid"
@@ -93,43 +91,10 @@ type unitResult struct {
 	recompiled bool
 	atRisk     bool
 	err        error // compile/pickle failure; exp.Error is already set
-
-	// taintKnown/tainted: the §4j mutable-import verdict, computed by
-	// the scheduler goroutine once every dependency has executed. A
-	// tainted unit's execution is serialized in commit order (counter
-	// exec.serialized, emitted at commit so it is -j-invariant).
-	taintKnown bool
-	tainted    bool
-}
-
-// execDone is the output of one parallel unit execution. Like a
-// unitResult, nothing in it has touched shared observable state: print
-// output went to a private buffer, counters (exec.*, dynenv.*,
-// interp.*) to a private obs.Buffer, and the dynenv binds it made went
-// to the build's pending overlay (visible to dependent executions,
-// which the exec DAG orders after this unit) plus the binds replay log
-// — never to the session env. The committer replays stdout, flushes
-// the buffer, and commits the binds in commit order, so a speculative
-// execution past the failing unit leaves no trace in output, counters,
-// Stats, or the session's dynamic environment.
-type execDone struct {
-	idx    int
-	err    error
-	stdout []byte
-	buf    *obs.Buffer
-	binds  []dynenv.Binding
-	steps  uint64
-	ns     int64
-	// prof holds the execution's raw profile(s) when the build is
-	// profiled (normally one UnitProfile; empty otherwise). Like
-	// counters and binds, it is private until the committer merges it
-	// in commit order — which is what makes the merged profile
-	// independent of Jobs.
-	prof []*interp.UnitProfile
 }
 
 // intHeap is a min-heap of topo indexes: the ready queue dispatches
-// lowest-index-first so that -j1 processes units in exactly the legacy
+// lowest-index-first so that -j1 processes units in exactly the
 // sequential order.
 type intHeap []int
 
@@ -255,58 +220,17 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		}()
 	}
 
-	// The exec pool: unit execution, historically serialized on the
-	// committer, runs here the moment a unit's own compile-or-load and
-	// every direct dependency's execution have succeeded — the import
-	// DAG is the ordering a unit's *data* needs, and the §4j mutable-
-	// import rule below adds the ordering shared mutable state needs.
-	// Each execution runs on a fork of the session machine with private
-	// stdout and counters, against a copy-on-write view of the dynenv
-	// (binds land in the build's pending overlay, committed — or, past
-	// a failure, discarded — in commit order), on its own span lane
-	// (jobs+1..2·jobs).
-	mtpl := session.Machine.Fork()
-	pending := dynenv.New()
-	execCh := make(chan *unitResult, n)
-	execResCh := make(chan *execDone, n)
-	var ewg sync.WaitGroup
-	var einflight, emaxPar atomic.Int64
-	for w := 0; w < jobs; w++ {
-		lane := jobs + 1 + w
-		ewg.Add(1)
-		go func() {
-			defer ewg.Done()
-			for res := range execCh {
-				if ctx.Err() != nil {
-					continue
-				}
-				cur := einflight.Add(1)
-				for {
-					mx := emaxPar.Load()
-					if cur <= mx || emaxPar.CompareAndSwap(mx, cur) {
-						break
-					}
-				}
-				execResCh <- runExec(res, mtpl, session.Dyn, pending, lane)
-				einflight.Add(-1)
-			}
-		}()
-	}
-
 	commitIdx := 0
 	defer func() {
 		cancel()
 		close(dispatchCh)
 		wg.Wait()
-		close(execCh)
-		ewg.Wait()
 		// On a fatal abort, in-flight workers drained results that will
 		// never commit; their unit spans would otherwise stay open and
 		// export as still-running to the trace's end. Close every
 		// uncommitted span here so a failing build's -trace/-jsonl
 		// output is as well-formed as a passing one (their buffered
-		// counters are still discarded unflushed). Exec results need no
-		// span care — each execution's spans end inside ExecuteOn.
+		// counters are still discarded unflushed).
 		for drained := false; !drained; {
 			select {
 			case res := <-resultCh:
@@ -321,7 +245,6 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 			}
 		}
 		col.Add("build.parallelism.max", maxPar.Load())
-		col.Add("exec.parallelism.max", emaxPar.Load())
 	}()
 
 	dispatch := func(i int) {
@@ -364,93 +287,9 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		}
 	}
 
-	// Exec-stage DAG state: a unit executes once its own worker result
-	// is in (compile/load ok) and every direct dep has executed. Import
-	// values only ever come from direct deps (depend.Analyze edges every
-	// unit to the definers of its free names), so direct-dep exec
-	// ordering is the data dependency execution needs — for immutable
-	// values.
-	execWaiting := make([]int, n)
-	for i, info := range order {
-		execWaiting[i] = len(deps[info.Name])
-	}
-	execResults := make([]*execDone, n)
-	execLaunched := make([]bool, n)
-
-	// The mutable-import rule (DESIGN.md §4j): a ref or array exported
-	// by a common ancestor is shared mutable state two units with no
-	// path between them can both read and write, so their executions
-	// must happen in commit order — for memory safety (assign/aupdate
-	// are unsynchronized) and because the interleaving is observable. A
-	// unit is *tainted* when any of its import values can reach a
-	// mutable cell. Every reader or writer of cross-unit mutable state
-	// is tainted — a cell created elsewhere is only reachable through
-	// the import vector — so serializing each tainted unit after all
-	// earlier executions reproduces the sequential interleaving
-	// exactly, while pure units (the overwhelmingly common case) keep
-	// the full exec-DAG parallelism. The scan (interp.ReachesMutable)
-	// stops at the first cell without reading through it, so it races
-	// with no concurrent execution; its verdict is immutable, so it is
-	// memoized per pid. Taint is a function of the value graphs alone,
-	// never of scheduling, so the serialization decision — and the
-	// exec.serialized counter the committer emits for it — is
-	// deterministic across -j.
-	mutByPid := make(map[pid.Pid]bool)
-	reachesMut := func(p pid.Pid) bool {
-		if t, ok := mutByPid[p]; ok {
-			return t
-		}
-		v, ok := pending.Peek(p)
-		if !ok {
-			v, ok = session.Dyn.Peek(p)
-		}
-		t := ok && interp.ReachesMutable(v)
-		mutByPid[p] = t
-		return t
-	}
-	// execPrefix is the length of the fully-executed prefix of the
-	// commit order; a tainted unit launches only at the prefix boundary
-	// (every earlier unit has executed — so every earlier tainted unit
-	// has finished, and every later one waits for it in turn).
-	// execBlocked holds tainted units parked until then.
-	execPrefix := 0
-	execBlocked := &intHeap{}
-	execParked := make([]bool, n)
-
 	// The first failure in commit order is where the sequential build
 	// would have stopped; nothing past it is dispatched once known.
 	failIdx := n
-	execReady := func(i int) bool {
-		return !execLaunched[i] && i <= failIdx && results[i] != nil &&
-			results[i].err == nil && execWaiting[i] == 0
-	}
-	tryExec := func(i int) {
-		if !execReady(i) {
-			return
-		}
-		res := results[i]
-		if !res.taintKnown {
-			// Deps have all executed (execWaiting is 0), so every
-			// import value is present in the pending overlay or the
-			// session env.
-			res.taintKnown = true
-			for _, p := range res.unit.Imports {
-				if reachesMut(p) {
-					res.tainted = true
-					break
-				}
-			}
-		}
-		if res.tainted && execPrefix < i {
-			if !execParked[i] {
-				execParked[i] = true
-				heap.Push(execBlocked, i)
-			}
-			return
-		}
-		execLaunched[i] = true
-		execCh <- res
-	}
 	for commitIdx < n {
 		for ready.Len() > 0 {
 			i := heap.Pop(ready).(int)
@@ -459,15 +298,8 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 			}
 			dispatch(i)
 		}
-		for commitIdx < n {
-			res := results[commitIdx]
-			if res == nil {
-				break
-			}
-			if res.err == nil && execResults[commitIdx] == nil {
-				break // compiled/loaded but not yet executed
-			}
-			if err := m.commitUnit(res, execResults[commitIdx], col, session); err != nil {
+		for commitIdx < n && results[commitIdx] != nil {
+			if err := m.commitUnit(results[commitIdx], col, session); err != nil {
 				return err
 			}
 			commitIdx++
@@ -475,83 +307,28 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		if commitIdx >= n {
 			break
 		}
-		select {
-		case res := <-resultCh:
-			i := res.task.idx
-			results[i] = res
-			if res.err != nil {
-				if i < failIdx {
-					failIdx = i
-				}
-			} else {
-				name := res.task.info.Name
-				envs[i] = res.unit.Env
-				currentPids[name] = res.unit.StatPid
-				recompiled[name] = res.recompiled
-				atRisk[name] = res.atRisk
-				for _, d := range dependents[i] {
-					waiting[d]--
-					if waiting[d] == 0 {
-						heap.Push(ready, d)
-					}
-				}
-				tryExec(i)
+		res := <-resultCh
+		i := res.task.idx
+		results[i] = res
+		if res.err != nil {
+			if i < failIdx {
+				failIdx = i
 			}
-		case ed := <-execResCh:
-			i := ed.idx
-			execResults[i] = ed
-			for execPrefix < n && execResults[execPrefix] != nil {
-				execPrefix++
-			}
-			if ed.err != nil {
-				if i < failIdx {
-					failIdx = i
+		} else {
+			name := res.task.info.Name
+			envs[i] = res.unit.Env
+			currentPids[name] = res.unit.StatPid
+			recompiled[name] = res.recompiled
+			atRisk[name] = res.atRisk
+			for _, d := range dependents[i] {
+				waiting[d]--
+				if waiting[d] == 0 {
+					heap.Push(ready, d)
 				}
-			} else {
-				for _, d := range dependents[i] {
-					execWaiting[d]--
-					tryExec(d)
-				}
-			}
-			// The prefix advanced: any parked tainted unit at its
-			// boundary may now run (tryExec re-checks readiness, so a
-			// unit parked past a newly-discovered failure stays dead).
-			for execBlocked.Len() > 0 && (*execBlocked)[0] <= execPrefix {
-				tryExec(heap.Pop(execBlocked).(int))
 			}
 		}
 	}
 	return nil
-}
-
-// runExec executes one unit on an exec worker: a fork of the session
-// machine (shared basis tags, private stdout/steps, a per-unit step
-// budget — MaxSteps bounds each execution; the committer enforces the
-// cumulative session budget at commit, §4j), a copy-on-write view of
-// the dynenv that binds into the build's pending overlay and records
-// into the task's private buffer, and the execute span on this
-// worker's lane under the unit's span. The returned execDone carries
-// everything observable — stdout, counters, export binds — for
-// commit-order replay.
-func runExec(res *unitResult, mtpl *interp.Machine, dyn, pending *dynenv.Env, lane int) *execDone {
-	buf := obs.NewBuffer()
-	var out bytes.Buffer
-	fork := mtpl.Fork()
-	fork.Stdout = &out
-	fork.Obs = buf
-	view := dyn.View(pending, buf)
-	t0 := time.Now()
-	err := compiler.ExecuteOn(fork, res.unit, view, res.uspan, buf, lane)
-	return &execDone{
-		idx:    res.task.idx,
-		err:    err,
-		stdout: out.Bytes(),
-		buf:    buf,
-		binds:  view.Binds(),
-		steps:  fork.Steps,
-		ns:     int64(time.Since(t0)),
-		prof:   fork.TakeUnitProfiles(),
-	}
 }
 
 // runUnit is the worker half of one unit's turn: decide reuse, then
@@ -709,11 +486,9 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 
 // commitUnit is the sequential half of one unit's turn, applied in
 // topological order: flush the worker's counters, replay its log lines,
-// replay the unit's execution (stdout, counters, steps — the execution
-// itself already ran on the exec pool), extend the session, save the
-// bin, and file the unit's explain record — observably exactly what
-// the legacy execute-on-commit loop produced.
-func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
+// execute the unit against the session's dynamic environment, extend
+// the session, save the bin, and file the unit's explain record.
+func (m *Manager) commitUnit(res *unitResult, col *obs.Collector,
 	session *compiler.Session) error {
 
 	t := res.task
@@ -730,56 +505,32 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 		return res.err
 	}
 
-	// Replay the execution in commit order: the exec.*, dynenv.*, and
-	// interp.* counters from the execution's private buffer, its print
-	// output, its step count, and its export binds land here exactly as
-	// the sequential execute-on-commit produced them — a failing
-	// execution first replays what it observed before failing, like a
-	// sequential run that printed then raised, and binds nothing. (The
-	// execute span and its sub-phases were created live on the exec
-	// worker's lane, nested under the unit span, and are already
-	// ended.)
-	ed.buf.FlushTo(col)
-	// Merge the execution's profile in commit order — the same
-	// ordering discipline as counters and stdout, so the merged
-	// profile (like them) is a pure function of the program, not of
-	// the schedule. A failing unit's partial profile merges too,
-	// exactly as a sequential run would have accumulated it.
+	// The execute phase runs instrumented: an "execute" span (with
+	// imports/apply/bind sub-phases) nests under the unit span on the
+	// committer's lane 0, and the exec.*/dynenv.*/interp.* counters land
+	// in the shared collector — all in commit order, so the deltas,
+	// stdout, and the session step total are identical at every -j. The
+	// session machine's MaxSteps bounds the build's cumulative steps.
+	steps0 := session.Machine.Steps
+	t0 := time.Now()
+	execErr := compiler.ExecuteObserved(session.Machine, res.unit, session.Dyn, uspan, col)
+	execNs := int64(time.Since(t0))
+	steps := session.Machine.Steps - steps0
+	col.Add("time.exec_ns", execNs)
+	// A failing unit's partial profile merges too, exactly as a
+	// sequential run accumulates it.
 	if m.profB != nil {
 		m.profB.AddUnit(name, res.unit.Code, res.unit.Env, t.source)
-		for _, up := range ed.prof {
+		for _, up := range session.Machine.TakeUnitProfiles() {
 			m.profB.Add(up)
 		}
 	}
-	if res.tainted {
-		col.Add("exec.serialized", 1)
-	}
-	col.Add("time.exec_ns", ed.ns)
-	session.Machine.Steps += ed.steps
-	if len(ed.stdout) > 0 && session.Machine.Stdout != nil {
-		session.Machine.Stdout.Write(ed.stdout)
-	}
-	if ed.err != nil {
-		exp.Error = ed.err.Error()
+	if execErr != nil {
+		exp.Error = execErr.Error()
 		col.Explain(exp)
 		uspan.End()
-		return ed.err
+		return execErr
 	}
-	// The session-wide step budget is enforced here, at unit
-	// granularity: each parallel execution is individually bounded by
-	// MaxSteps on its fork, and the unit whose steps push the session
-	// total over the budget fails at its commit — the same unit a
-	// sequential run would have died inside (§4j documents the
-	// granularity difference).
-	if ms := session.Machine.MaxSteps; ms != 0 && session.Machine.Steps > ms {
-		err := fmt.Errorf("execute %s: step budget exceeded (session total %d > %d)",
-			name, session.Machine.Steps, ms)
-		exp.Error = err.Error()
-		col.Explain(exp)
-		uspan.End()
-		return err
-	}
-	session.Dyn.Commit(ed.binds)
 	session.Accept(res.unit)
 
 	if res.action == obs.ActionLoaded {
@@ -793,7 +544,7 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 		uspan.End()
 		m.UnitTimings = append(m.UnitTimings, obs.UnitTiming{
 			Unit: name, Action: obs.ActionLoaded, Ns: int64(uspan.Duration()),
-			ExecNs: ed.ns, Steps: ed.steps})
+			ExecNs: execNs, Steps: steps})
 		if m.Log != nil {
 			m.logf("[%s] %s: loaded (interface %s)", m.Policy, name, res.unit.StatPid.Short())
 		}
@@ -826,6 +577,6 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 	uspan.End()
 	m.UnitTimings = append(m.UnitTimings, obs.UnitTiming{
 		Unit: name, Action: obs.ActionCompiled, Ns: int64(uspan.Duration()),
-		ExecNs: ed.ns, Steps: ed.steps})
+		ExecNs: execNs, Steps: steps})
 	return nil
 }

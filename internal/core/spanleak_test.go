@@ -106,9 +106,9 @@ func TestFailedBuildTraceValid(t *testing.T) {
 // both scheduler widths (DESIGN.md §4j): every unit gets exactly one
 // "execute" span carrying the full imports/apply/bind sub-phase set,
 // every one of those spans is closed with a non-negative duration, and
-// the spans sit on the exec pool's lanes (jobs+1..2·jobs) — never on a
-// compile worker's lane, so the Perfetto view keeps compilation and
-// execution on separate tracks.
+// the spans sit on the committer's lane 0, nested in their unit's span
+// — never on a compile worker's lane, so the Perfetto view keeps
+// compilation and execution on separate tracks.
 func TestExecSpanAudit(t *testing.T) {
 	p := workload.Generate(workload.Small())
 	for _, jobs := range []int{1, 8} {
@@ -127,8 +127,12 @@ func TestExecSpanAudit(t *testing.T) {
 			ID     int     `json:"id"`
 			Parent int     `json:"parent"`
 			Name   string  `json:"name"`
+			Cat    string  `json:"cat"`
 			Lane   int     `json:"lane"`
 			DurUs  float64 `json:"dur_us"`
+			Args   struct {
+				Unit string `json:"unit"`
+			} `json:"args"`
 		}
 		spans := map[int]span{}
 		children := map[int][]span{}
@@ -153,9 +157,13 @@ func TestExecSpanAudit(t *testing.T) {
 			if s.DurUs < 0 {
 				t.Errorf("jobs=%d: execute span %d has negative duration", jobs, s.ID)
 			}
-			if s.Lane < jobs+1 || s.Lane > 2*jobs {
-				t.Errorf("jobs=%d: execute span %d on lane %d, want exec lane %d..%d",
-					jobs, s.ID, s.Lane, jobs+1, 2*jobs)
+			if s.Lane != 0 {
+				t.Errorf("jobs=%d: execute span %d on lane %d, want committer lane 0",
+					jobs, s.ID, s.Lane)
+			}
+			if u := spans[s.Parent]; u.Cat != obs.CatUnit || u.Name != s.Args.Unit {
+				t.Errorf("jobs=%d: execute span %d of %q not nested in its unit span (parent %+v)",
+					jobs, s.ID, s.Args.Unit, u)
 			}
 			sub := map[string]bool{}
 			for _, ch := range children[s.ID] {

@@ -4,114 +4,50 @@
 // execution consumes the values of its import pids and binds its export
 // pids — so no global mutable state links compiled units together.
 //
-// Concurrency: an Env is safe for concurrent Bind/Lookup/Peek from any
-// number of goroutines — the map is split into shards, each behind its
-// own RWMutex, indexed by the pid's leading hash byte. This is what
-// lets the scheduler execute independent units in parallel. A View is
-// the copy-on-write face an exec worker sees: lookups fall through a
-// shared pending overlay to the committed base, binds go to the overlay
-// only and are recorded for commit-order replay (Commit), and dynenv.*
-// counters go to the view's private recorder — so an execution
-// speculatively run past a failing unit leaves no trace in the base
-// env, its counters, or its recorder. A View itself is confined to its
-// one execution goroutine; the overlay and base it touches are the
-// concurrent-safe Envs above. Copy and Pids take every shard lock in
-// turn and are consistent only once concurrent writers are quiesced —
-// which the scheduler's commit ordering guarantees.
+// Concurrency: single-goroutine. An Env is not safe for concurrent
+// use; the IRM binds and reads it only on the build's committer
+// goroutine, which executes every unit in commit order even under a
+// parallel build (workers compile and load; they never touch the
+// dynamic environment).
 package dynenv
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/pid"
 )
 
-// shardCount must be a power of two; 16 shards keeps the lock
-// footprint small while making contention between exec workers (at
-// most one per core) unlikely.
-const shardCount = 16
-
-type shard struct {
-	mu sync.RWMutex
-	m  map[pid.Pid]interp.Value
-}
-
 // Env is a dynamic environment. The zero value is not usable; call New.
 type Env struct {
-	shards *[shardCount]shard
+	m map[pid.Pid]interp.Value
 	// Obs, when non-nil, receives the dynenv.* counters (binds,
-	// lookups, misses, views) — the execute phase's import/export
-	// traffic as data. Copies inherit the recorder; Views record to
-	// their own.
+	// lookups, misses) — the execute phase's import/export traffic as
+	// data. Copies inherit the recorder.
 	Obs obs.Recorder
-}
-
-// Target is what unit execution needs of a dynamic environment: import
-// lookup and export binding. *Env implements it for the sequential
-// paths (REPL, smlrun, Session.Run), which commit directly; *View
-// implements it for the parallel exec stage, which buffers.
-type Target interface {
-	MustLookup(p pid.Pid) (interp.Value, error)
-	Bind(p pid.Pid, v interp.Value)
 }
 
 // New returns an empty dynamic environment.
 func New() *Env {
-	var s [shardCount]shard
-	for i := range s {
-		s[i].m = map[pid.Pid]interp.Value{}
-	}
-	return &Env{shards: &s}
-}
-
-// shard picks the shard for p by its leading byte — pids are CRC-128
-// hashes, so the low bits of any byte are uniformly distributed.
-func (d *Env) shard(p pid.Pid) *shard {
-	return &d.shards[p[0]&(shardCount-1)]
-}
-
-// put is Bind without accounting.
-func (d *Env) put(p pid.Pid, v interp.Value) {
-	s := d.shard(p)
-	s.mu.Lock()
-	s.m[p] = v
-	s.mu.Unlock()
-}
-
-// get is Lookup without accounting.
-func (d *Env) get(p pid.Pid) (interp.Value, bool) {
-	s := d.shard(p)
-	s.mu.RLock()
-	v, ok := s.m[p]
-	s.mu.RUnlock()
-	return v, ok
+	return &Env{m: map[pid.Pid]interp.Value{}}
 }
 
 // Bind associates a pid with a value, replacing any previous binding.
 func (d *Env) Bind(p pid.Pid, v interp.Value) {
 	obs.Count(d.Obs, "dynenv.binds", 1)
-	d.put(p, v)
+	d.m[p] = v
 }
 
 // Lookup finds the value bound to p.
 func (d *Env) Lookup(p pid.Pid) (interp.Value, bool) {
-	v, ok := d.get(p)
+	v, ok := d.m[p]
 	obs.Count(d.Obs, "dynenv.lookups", 1)
 	if !ok {
 		obs.Count(d.Obs, "dynenv.misses", 1)
 	}
 	return v, ok
-}
-
-// Peek is Lookup without the dynenv.* accounting: scheduler-side
-// inspection (the §4j mutable-import scan) whose call count depends on
-// scheduling, so it must not perturb the deterministic counter stream.
-func (d *Env) Peek(p pid.Pid) (interp.Value, bool) {
-	return d.get(p)
 }
 
 // MustLookup finds the value bound to p or returns a linkage error.
@@ -124,16 +60,7 @@ func (d *Env) MustLookup(p pid.Pid) (interp.Value, error) {
 }
 
 // Len reports the number of bindings.
-func (d *Env) Len() int {
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (d *Env) Len() int { return len(d.m) }
 
 // Copy returns an independent copy (dynamic environments compose by
 // copying plus Bind, mirroring the paper's functional composition).
@@ -141,106 +68,18 @@ func (d *Env) Len() int {
 func (d *Env) Copy() *Env {
 	out := New()
 	out.Obs = d.Obs
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			out.shards[i].m[k] = v
-		}
-		s.mu.RUnlock()
+	for k, v := range d.m {
+		out.m[k] = v
 	}
 	return out
 }
 
-// Binding is one recorded export bind of an execution View, in bind
-// order — the unit of commit-order replay the scheduler's committer
-// applies to the session env via Commit.
-type Binding struct {
-	Pid pid.Pid
-	Val interp.Value
-}
-
-// Commit applies recorded view bindings to d without re-counting them:
-// the view already recorded the dynenv.* traffic into its execution's
-// private buffer, which the committer flushes separately.
-func (d *Env) Commit(bs []Binding) {
-	for _, b := range bs {
-		d.put(b.Pid, b.Val)
-	}
-}
-
-// View returns the copy-on-write execution view the parallel exec
-// stage hands each unit: lookups consult pending (the build's shared
-// overlay of executed-but-uncommitted exports) before d, binds go to
-// pending only — recorded in Binds for commit-order replay — and all
-// dynenv.* traffic is counted on rec instead of d.Obs, so counters
-// from speculative executions never leak into the build's collector
-// (counter dynenv.views, recorded on rec so the count itself replays
-// deterministically). Nothing a view does mutates d: only the
-// committer publishes a unit's bindings, by handing Binds to d.Commit
-// when — and only when — the unit commits.
-func (d *Env) View(pending *Env, rec obs.Recorder) *View {
-	obs.Count(rec, "dynenv.views", 1)
-	return &View{base: d, pending: pending, rec: rec}
-}
-
-// View is the execution-side face of a dynamic environment during a
-// parallel build. See Env.View for the contract. A View is confined to
-// the one goroutine executing its unit.
-type View struct {
-	base    *Env
-	pending *Env
-	rec     obs.Recorder
-	binds   []Binding
-}
-
-// Bind records an export binding: into the build's pending overlay (so
-// dependents executing before this unit commits can import it) and
-// into the view's replay log — never into the base env.
-func (v *View) Bind(p pid.Pid, val interp.Value) {
-	obs.Count(v.rec, "dynenv.binds", 1)
-	v.pending.put(p, val)
-	v.binds = append(v.binds, Binding{Pid: p, Val: val})
-}
-
-// Lookup finds the value bound to p: the pending overlay first (the
-// latest executed-but-uncommitted bind wins, exactly as the latest
-// committed bind wins sequentially), then the committed base.
-func (v *View) Lookup(p pid.Pid) (interp.Value, bool) {
-	val, ok := v.pending.get(p)
-	if !ok {
-		val, ok = v.base.get(p)
-	}
-	obs.Count(v.rec, "dynenv.lookups", 1)
-	if !ok {
-		obs.Count(v.rec, "dynenv.misses", 1)
-	}
-	return val, ok
-}
-
-// MustLookup finds the value bound to p or returns a linkage error.
-func (v *View) MustLookup(p pid.Pid) (interp.Value, error) {
-	val, ok := v.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("dynenv: no value bound to pid %s (missing import)", p.Short())
-	}
-	return val, nil
-}
-
-// Binds returns the view's recorded bindings, in bind order.
-func (v *View) Binds() []Binding { return v.binds }
-
 // Pids returns the bound pids in sorted order (deterministic, for tests
 // and diagnostics).
 func (d *Env) Pids() []pid.Pid {
-	var out []pid.Pid
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		for k := range s.m {
-			out = append(out, k)
-		}
-		s.mu.RUnlock()
+	out := make([]pid.Pid, 0, len(d.m))
+	for k := range d.m {
+		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out

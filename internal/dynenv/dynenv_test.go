@@ -54,86 +54,6 @@ func TestPidsSorted(t *testing.T) {
 	}
 }
 
-// TestViewCopyOnWrite pins the §4j speculation contract: a view's
-// binds reach the pending overlay and its replay log, never the base
-// env, while its lookups see the overlay first and fall back to the
-// base.
-func TestViewCopyOnWrite(t *testing.T) {
-	base, pending := New(), New()
-	committed := pid.HashString("committed")
-	base.Bind(committed, interp.IntV(1))
-
-	v := base.View(pending, nil)
-	exported := pid.HashString("exported")
-	v.Bind(exported, interp.IntV(2))
-
-	if _, ok := base.Lookup(exported); ok {
-		t.Fatal("view bind wrote through to the base env")
-	}
-	if base.Len() != 1 {
-		t.Fatalf("base env grew to %d bindings", base.Len())
-	}
-	if val, ok := pending.Lookup(exported); !ok || val != interp.IntV(2) {
-		t.Fatal("view bind missing from the pending overlay")
-	}
-	if val, ok := v.Lookup(exported); !ok || val != interp.IntV(2) {
-		t.Fatal("view cannot read its own bind")
-	}
-	if val, ok := v.Lookup(committed); !ok || val != interp.IntV(1) {
-		t.Fatal("view cannot read committed base bindings")
-	}
-	if _, err := v.MustLookup(pid.HashString("missing")); err == nil {
-		t.Fatal("view MustLookup of missing pid did not error")
-	}
-}
-
-// TestViewOverlayShadowsBase: a pending rebind of a committed pid wins
-// — the latest executed bind, exactly as the latest committed bind
-// wins sequentially.
-func TestViewOverlayShadowsBase(t *testing.T) {
-	base, pending := New(), New()
-	p := pid.HashString("x")
-	base.Bind(p, interp.IntV(1))
-	v := base.View(pending, nil)
-	v.Bind(p, interp.IntV(2))
-	if val, _ := v.Lookup(p); val != interp.IntV(2) {
-		t.Fatal("overlay did not shadow the base")
-	}
-	if val, _ := base.Lookup(p); val != interp.IntV(1) {
-		t.Fatal("rebind through view mutated the base")
-	}
-}
-
-// TestViewCommitReplay: the committer publishes a view's recorded
-// binds into the base via Commit, in bind order; an uncommitted
-// (speculative) view's binds simply never arrive.
-func TestViewCommitReplay(t *testing.T) {
-	base, pending := New(), New()
-	v := base.View(pending, nil)
-	p1, p2 := pid.HashString("a"), pid.HashString("b")
-	v.Bind(p1, interp.IntV(10))
-	v.Bind(p2, interp.IntV(20))
-
-	binds := v.Binds()
-	if len(binds) != 2 || binds[0].Pid != p1 || binds[1].Pid != p2 {
-		t.Fatalf("replay log wrong: %v", binds)
-	}
-	base.Commit(binds)
-	if val, ok := base.Lookup(p2); !ok || val != interp.IntV(20) {
-		t.Fatal("Commit did not publish the view's binds")
-	}
-
-	spec := base.View(pending, nil)
-	spec.Bind(pid.HashString("speculative"), interp.IntV(99))
-	// Never committed: the base must not see it.
-	if _, ok := base.Lookup(pid.HashString("speculative")); ok {
-		t.Fatal("speculative bind visible in base without Commit")
-	}
-	if base.Len() != 2 {
-		t.Fatalf("base has %d bindings, want 2", base.Len())
-	}
-}
-
 func TestRebind(t *testing.T) {
 	d := New()
 	p := pid.HashString("x")

@@ -977,26 +977,3 @@ func (c *comp) prim(e *lambda.Prim) cnode {
 		return m.prim(op, vs)
 	}
 }
-
-// Fork returns a machine sharing this machine's basis identities (the
-// builtin exception tags) and engine, with zeroed step count and no
-// recorder — the per-goroutine evaluation context the parallel exec
-// stage runs units on. Values built by a fork are interchangeable with
-// the parent's: identity-bearing comparisons (exception tags) work
-// because the basis tags are shared, not copied. The caller sets
-// Stdout and Obs before use.
-func (m *Machine) Fork() *Machine {
-	f := *m
-	f.Steps = 0
-	f.Obs = nil
-	f.framePool = nil // never share pooled frames across goroutines
-	if m.prof != nil {
-		// Profiling is inherited by enablement only: the fork gets its
-		// own sample window, countdown, and shadow stack (all per-unit
-		// state — resetting them per fork is what makes profiles
-		// independent of which goroutine ran which unit), sharing just
-		// the immutable-once-registered identity registry.
-		f.prof = &machProf{period: m.prof.period, left: m.prof.period, reg: m.prof.reg}
-	}
-	return &f
-}

@@ -77,12 +77,11 @@ type Machine struct {
 	Engine Engine
 	// framePool recycles non-escaping activation frames (see
 	// CompiledFn.escapes). Per-machine, like the machine itself: never
-	// shared across goroutines, and Fork starts its copy empty.
+	// shared across goroutines.
 	framePool []*Frame
 	// prof, when non-nil, is the SML-level execution profiler's state
 	// (prof.go). The disabled fast path costs exactly one nil check in
-	// step and one in apply; Fork propagates enablement with fresh
-	// per-fork state.
+	// step and one in apply.
 	prof *machProf
 
 	// Pre-allocated basis exception tags.

@@ -4,8 +4,8 @@ package interp
 // §4k): per-function apply/step/alloc accounting plus deterministic
 // step-tick sampling of the activation chain. Everything here counts
 // in interpreter steps — never wall clock — and all per-run state is
-// per-unit-execution (reset by BeginUnitProfile) or per-fork (reset by
-// Fork), so the same program produces the same samples at any -j, on
+// per-unit-execution (reset by BeginUnitProfile), so the same program
+// produces the same samples at any -j, on
 // either engine's step grid, locally or under the daemon. The
 // internal/prof package symbolizes and merges the raw UnitProfiles
 // this file produces.
@@ -13,7 +13,6 @@ package interp
 import (
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/lambda"
 )
@@ -56,8 +55,8 @@ type ProfStack struct {
 
 // UnitProfile is the raw profile of one unit execution: exact per-
 // function counts plus the step-tick samples, everything sorted
-// deterministically. The scheduler ships it from the exec fork to the
-// committer, which merges UnitProfiles in commit order.
+// deterministically. The committer, which executes units in commit
+// order, merges UnitProfiles in that order.
 type UnitProfile struct {
 	Unit   string
 	Period uint64
@@ -75,16 +74,13 @@ func (u *UnitProfile) Samples() int64 {
 	return n
 }
 
-// profReg is the identity registry shared by a machine and all its
-// forks: for the tree engine, a map from a function's body term to the
-// compiled function carrying its (unit, ID) identity, filled once per
-// unit by ProfRegister. Registration of a unit strictly precedes every
-// execution that can apply its closures (the exec DAG orders a
-// dependency's execution — and hence its registration — before any
-// dependent's), so lookups after registration race with nothing; the
-// lock makes the handoff between exec goroutines safe.
+// profReg is a machine's identity registry: for the tree engine, a map
+// from a function's body term to the compiled function carrying its
+// (unit, ID) identity, filled once per unit by ProfRegister.
+// Registration of a unit strictly precedes every execution that can
+// apply its closures (units execute in commit order, dependencies
+// first).
 type profReg struct {
-	mu     sync.RWMutex
 	byBody map[lambda.Exp]*CompiledFn
 	units  map[string]bool
 }
@@ -94,8 +90,6 @@ func newProfReg() *profReg {
 }
 
 func (r *profReg) register(unit string, code *lambda.Fn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.units[unit] {
 		return
 	}
@@ -113,10 +107,7 @@ func (r *profReg) register(unit string, code *lambda.Fn) {
 }
 
 func (r *profReg) lookup(body lambda.Exp) *CompiledFn {
-	r.mu.RLock()
-	cf := r.byBody[body]
-	r.mu.RUnlock()
-	return cf
+	return r.byBody[body]
 }
 
 // profFrame is one entry of the profiler's shadow stack: the function
@@ -158,8 +149,8 @@ func (a *unitAcc) countsFor(cf *CompiledFn) *profCounts {
 
 // machProf is a machine's profiling state. period/left drive the
 // deterministic sampler: left counts down once per interpreter step
-// and a capture fires when it reaches zero. reg is shared across
-// forks; everything else is private to the machine (one goroutine).
+// and a capture fires when it reaches zero. Like the machine, it is
+// confined to one goroutine.
 type machProf struct {
 	period uint64
 	left   uint64
@@ -170,12 +161,11 @@ type machProf struct {
 }
 
 // StartProfile enables SML-level profiling on this machine with the
-// given step-sampling period (0 means DefaultProfilePeriod). Forks
-// created afterwards inherit the enablement (with fresh per-fork
-// state). Profiling changes no observable outputs — values, output,
-// counters other than prof.*, bins, and pids are untouched — but
-// disables frame pooling while enabled, trading speed for exact
-// allocation attribution.
+// given step-sampling period (0 means DefaultProfilePeriod).
+// Profiling changes no observable outputs — values, output, counters
+// other than prof.*, bins, and pids are untouched — but disables frame
+// pooling while enabled, trading speed for exact allocation
+// attribution.
 func (m *Machine) StartProfile(period uint64) {
 	if period == 0 {
 		period = DefaultProfilePeriod

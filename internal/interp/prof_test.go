@@ -2,9 +2,8 @@ package interp
 
 // Machine-level profiler invariants: the step count a build observes
 // (exec.steps, MaxSteps budgets) is identical with profiling on or
-// off, sample windows only accumulate between Begin/EndUnitProfile,
-// and forks inherit the profiling configuration while keeping their
-// sample buffers private.
+// off, and sample windows only accumulate between
+// Begin/EndUnitProfile.
 
 import (
 	"testing"
@@ -87,26 +86,5 @@ func TestUnitProfileWindows(t *testing.T) {
 	}
 	if ups := m.TakeUnitProfiles(); len(ups) != 0 {
 		t.Fatalf("second Take returned %d profiles, want drained", len(ups))
-	}
-}
-
-func TestForkInheritsProfiling(t *testing.T) {
-	m := NewMachine()
-	m.StartProfile(4)
-	f := m.Fork()
-	if !f.ProfileEnabled() || f.ProfilePeriod() != 4 {
-		t.Fatalf("fork profiling enabled=%v period=%d", f.ProfileEnabled(), f.ProfilePeriod())
-	}
-	f.BeginUnitProfile("forked")
-	evalOK(t, f, factTerm())
-	if up := f.EndUnitProfile(); up == nil || up.Steps == 0 {
-		t.Fatalf("forked window = %+v", up)
-	}
-	// The fork's samples stay on the fork; the parent's buffer is empty.
-	if ups := m.TakeUnitProfiles(); len(ups) != 0 {
-		t.Fatalf("parent machine holds %d unit profiles from the fork", len(ups))
-	}
-	if ups := f.TakeUnitProfiles(); len(ups) != 1 {
-		t.Fatalf("fork holds %d unit profiles, want 1", len(ups))
 	}
 }

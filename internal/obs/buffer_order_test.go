@@ -11,6 +11,7 @@ package obs_test
 import (
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,17 +92,16 @@ func TestBufferHandoffUnderRace(t *testing.T) {
 }
 
 // filterDeterministic drops the counters the determinism contract
-// excludes: scheduler-width artifacts and wall-clock timings.
+// excludes: scheduler-width artifacts (matched by suffix, since the
+// keys are fully qualified, e.g. build.parallelism.max) and wall-clock
+// timings.
 func filterDeterministic(c map[string]int64) map[string]int64 {
 	out := map[string]int64{}
 	for k, v := range c {
-		if k == "parallelism.max" || k == "sched.wait_ns" {
+		if strings.HasSuffix(k, ".parallelism.max") || strings.HasSuffix(k, ".sched.wait_ns") {
 			continue
 		}
-		if len(k) > 5 && k[:5] == "time." {
-			continue
-		}
-		if len(k) > 3 && k[len(k)-3:] == "_ns" {
+		if strings.HasPrefix(k, "time.") || strings.HasSuffix(k, "_ns") {
 			continue
 		}
 		out[k] = v

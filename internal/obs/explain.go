@@ -102,7 +102,7 @@ type UnitTiming struct {
 	Action string `json:"action"` // ActionLoaded or ActionCompiled
 	Ns     int64  `json:"ns"`
 	// ExecNs is the wall time of the unit's execution alone (the
-	// execute phase on its exec worker); Steps its interpreter step
+	// execute phase on the committer); Steps its interpreter step
 	// count. Both feed `irm top -by exec`.
 	ExecNs int64  `json:"exec_ns,omitempty"`
 	Steps  uint64 `json:"steps,omitempty"`

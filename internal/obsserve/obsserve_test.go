@@ -139,11 +139,10 @@ func TestMetricsMatchReport(t *testing.T) {
 		t.Error("irm_uptime_seconds missing")
 	}
 	// The execute phase must be visible on the wire, including the
-	// compiled-engine and parallel-exec counters (DESIGN.md §4d).
+	// compiled-engine counters (DESIGN.md §4d).
 	for _, name := range []string{
 		"irm_exec_units", "irm_exec_apply_ns",
 		"irm_code_compiles", "irm_code_compile_ns", "irm_code_bytes",
-		"irm_exec_parallelism_max", "irm_dynenv_views",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("%s missing from /metrics", name)
