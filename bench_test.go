@@ -744,6 +744,28 @@ func BenchmarkPipelineRehydrate(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCold is the end-to-end figure the per-stage benchmarks
+// above roll up to: a cold Manager.Build of a mid-size layered project
+// into a fresh memory store at the default Jobs — scan (hash, parse on
+// Jobs lanes), order, and the scheduler's elaborate/hash/pickle and
+// commit. It is in benchgate's gated set with PipelineParse and
+// PipelineCompile, so a >10% slower cold build fails CI even when no
+// single stage benchmark moves that much.
+func BenchmarkBuildCold(b *testing.B) {
+	p := workload.Generate(workload.Config{
+		Shape: workload.Layered, Units: 60, LinesPerUnit: 120, FunsPerUnit: 6,
+		FanIn: 3, LayerWidth: 8, Seed: 13,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := core.NewManager()
+		if _, err := m.Build(p.Files); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
 // execution on both engines. These three are in benchgate's gated set

@@ -14,10 +14,11 @@
 // static pid of its interface.
 //
 // Concurrency: a Session is confined to one goroutine (the build's
-// coordinator). Compile itself may run in many goroutines at once,
-// provided each call's context env is layered over envs that are no
-// longer mutated — the property the parallel scheduler in
-// internal/core is built on.
+// coordinator). Compile and CompileDecs may run in many goroutines at
+// once, provided each call's context env is layered over envs that
+// are no longer mutated, and each CompileDecs call has its own syntax
+// tree — the property the parallel scheduler in internal/core is
+// built on.
 package compiler
 
 import (
@@ -25,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/dynenv"
 	"repro/internal/elab"
 	"repro/internal/env"
@@ -105,9 +107,7 @@ func (e *CompileError) Error() string {
 }
 
 // Compile compiles one unit against a context static environment. It
-// performs the full §3–§5 pipeline: parse, elaborate, hash the export
-// interface into the intrinsic static pid, make the unit's provisional
-// stamps permanent, and derive the dynamic export pids.
+// performs the full §3–§5 pipeline: parse, then CompileDecs.
 func Compile(name, source string, context *env.Env) (*Unit, error) {
 	decs, perrs := parser.Parse(source)
 	if len(perrs) > 0 {
@@ -117,7 +117,17 @@ func Compile(name, source string, context *env.Env) (*Unit, error) {
 		}
 		return nil, ce
 	}
+	return CompileDecs(name, decs, context)
+}
 
+// CompileDecs compiles an already parsed unit against a context static
+// environment: elaborate, hash the export interface into the intrinsic
+// static pid, make the unit's provisional stamps permanent, and derive
+// the dynamic export pids. The IRM calls it on the syntax its
+// dependency scan parsed (depend.Info.Decs), so a changed source is
+// parsed once per build. The result is identical to Compile's on the
+// same source.
+func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 	res, eerrs := elab.ElabUnit(decs, context)
 	if len(eerrs) > 0 {
 		ce := &CompileError{Unit: name}

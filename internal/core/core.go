@@ -32,6 +32,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compiler"
@@ -423,11 +424,14 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	}
 
 	// Phase 1: per-file dependency info, re-parsing only changed files.
+	// Store loads stay serial on this goroutine (the Store contract);
+	// the changed files are then parsed on m.jobs lanes.
 	scan := bspan.Child(obs.CatPhase, "scan")
 	infos := make([]*depend.Info, len(files))
 	entries := make(map[string]*Entry, len(files))
 	srcHashes := make(map[string]pid.Pid, len(files))
 	corrupt := make(map[string]bool)
+	var toParse []int
 	for i, f := range files {
 		h := pid.HashString(f.Source)
 		srcHashes[f.Name] = h
@@ -457,18 +461,13 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		} else if lerr == nil {
 			col.Add("cache.misses", 1)
 		}
-		pspan := scan.Child(obs.CatPhase, "parse").Arg("unit", f.Name)
-		info, err := depend.Analyze(f.Name, f.Source)
-		pspan.End()
-		col.Add("time.parse_ns", int64(pspan.Duration()))
-		if err != nil {
-			scan.End()
-			return nil, err
-		}
-		col.Add("build.parsed", 1)
-		infos[i] = info
+		toParse = append(toParse, i)
 	}
+	err = m.parse(col, scan, files, toParse, infos)
 	scan.End()
+	if err != nil {
+		return nil, err
+	}
 
 	// Phase 2: topological order over the induced dependency DAG.
 	ospan := bspan.Child(obs.CatPhase, "order")
@@ -494,6 +493,50 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		return nil, err
 	}
 	return session, nil
+}
+
+// parse fills infos[i] for every file index i in toParse (ascending)
+// with depend.Analyze's result, on m.jobs(len(toParse)) lanes: inline
+// on the coordinator (lane 0) when that is one, else on goroutines
+// taking files in order on worker lanes 1..jobs, like the scheduler's.
+// Each parse span sits under scan on its lane, and time.parse_ns sums
+// them (the scan span is the wall time). The outcome is the serial
+// scan's at any width: the first failure in file order is returned,
+// and only the files before it count as parsed.
+func (m *Manager) parse(col *obs.Collector, scan *obs.Span, files []File,
+	toParse []int, infos []*depend.Info) error {
+
+	errs := make([]error, len(toParse))
+	var next atomic.Int64
+	work := func(lane int) {
+		for k := next.Add(1) - 1; k < int64(len(toParse)); k = next.Add(1) - 1 {
+			f := files[toParse[k]]
+			pspan := scan.Child(obs.CatPhase, "parse").Lane(lane).Arg("unit", f.Name)
+			infos[toParse[k]], errs[k] = depend.Analyze(f.Name, f.Source)
+			pspan.End()
+			col.Add("time.parse_ns", int64(pspan.Duration()))
+		}
+	}
+	if jobs := m.jobs(len(toParse)); jobs == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 1; w <= jobs; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+		col.Add("build.parsed", 1)
+	}
+	return nil
 }
 
 // depChanges lists the imports whose interface pids differ between a

@@ -11,8 +11,9 @@
 //
 // The split is what makes parallel builds deterministic:
 //
-//   - Workers do only per-unit-deterministic work (parse, elaborate,
-//     hash, pickle, bin decode) against immutable inputs: the frozen
+//   - Workers do only per-unit-deterministic work (elaborate the
+//     scan's syntax, hash, pickle, bin decode; parse only a source the
+//     scan took from the cache) against immutable inputs: the frozen
 //     pre-build context, and the already-completed dependency
 //     environments. Bin bytes and interface pids depend on nothing
 //     but the unit and its deps, so they are identical for every -j.
@@ -424,7 +425,17 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 		de.CopyInto(layer)
 	}
 	cspan := uspan.Child(obs.CatPhase, "compile")
-	u, err := compiler.Compile(name, t.source, layer)
+	var u *compiler.Unit
+	var err error
+	if t.info.Decs != nil {
+		// The scan parsed this source; elaborate its syntax.
+		u, err = compiler.CompileDecs(name, t.info.Decs, layer)
+	} else {
+		// The scan took this unit's info from its cache entry: the
+		// source is unchanged but must recompile (a dependency's
+		// interface changed, or the bin is unusable), so parse it now.
+		u, err = compiler.Compile(name, t.source, layer)
+	}
 	cspan.End()
 	buf.Add("time.compile_ns", int64(cspan.Duration()))
 	if err != nil {

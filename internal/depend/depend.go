@@ -4,8 +4,10 @@
 // unit dependency DAG is induced by matching references to definers —
 // no makefile is written by hand.
 //
-// Concurrency: Scan and Graph are pure functions of their inputs and
-// safe for concurrent use; Info values are read-only once built.
+// Concurrency: Analyze, FromDecs, Graph and TopoSort are pure
+// functions of their inputs and safe for concurrent use; Info values
+// (Decs included: elaboration reads the syntax, never writes it) are
+// read-only once built.
 package depend
 
 import (
@@ -20,7 +22,11 @@ import (
 // Info is the dependency-relevant summary of one source file.
 type Info struct {
 	Name string
-	// Decs is the parsed syntax (reused by compilation).
+	// Decs is the parsed syntax, which the IRM compiles from
+	// (compiler.CompileDecs) so a changed source is parsed once per
+	// build. It is nil exactly for infos rebuilt from a cache entry's
+	// Defs/Free without parsing; FromDecs never leaves it nil, even
+	// for an empty file.
 	Decs []ast.Dec
 	// Defs lists the top-level names defined, per namespace key
 	// ("v:", "t:", "s:", "g:", "f:" prefixes).
@@ -62,6 +68,9 @@ func Analyze(name, source string) (*Info, error) {
 
 // FromDecs computes the summary of an already parsed file.
 func FromDecs(name string, decs []ast.Dec) *Info {
+	if decs == nil {
+		decs = []ast.Dec{}
+	}
 	info := &Info{Name: name, Decs: decs}
 
 	free := elab.FreeOfDecs(decs)
