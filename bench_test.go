@@ -766,6 +766,35 @@ func BenchmarkBuildCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildNull is the warm counterpart of BuildCold: a null
+// Manager.Build of the same project against a memory store primed by
+// one cold build, with a fresh EnvCache every iteration, as a new
+// `irm build` process over an up-to-date store runs it. Nothing
+// compiles; the scan's store loads, bin rehydration (binfile.ReadCached:
+// env, term and code section) and the committer's execution are the
+// work. It is in benchgate's gated set.
+func BenchmarkBuildNull(b *testing.B) {
+	p := workload.Generate(workload.Config{
+		Shape: workload.Layered, Units: 60, LinesPerUnit: 120, FunsPerUnit: 6,
+		FanIn: 3, LayerWidth: 8, Seed: 13,
+	})
+	store := core.NewMemStore()
+	if _, err := (&core.Manager{Store: store}).Build(p.Files); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := &core.Manager{Store: store, EnvCache: pickle.NewEnvCache(0)}
+		if _, err := m.Build(p.Files); err != nil {
+			b.Fatal(err)
+		}
+		if m.Stats.Compiled != 0 {
+			b.Fatalf("null build compiled %d units", m.Stats.Compiled)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
 // execution on both engines. These three are in benchgate's gated set

@@ -176,10 +176,12 @@ func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
 // from the bytes at hand.
 //
 // A V2 bin's code section is loaded into the unit's compiled form
-// (counter code.loads) with every coordinate validated against the
-// term; a section that fails validation (counter code.load_errors)
-// fails the read, which the store layer treats like any other corrupt
-// entry — quarantine and recompile. A V1 bin simply leaves Prog nil;
+// (counter code.loads, interp.LoadFn) with every coordinate validated
+// against the term — those of function bodies the unit never calls
+// included, though no closure tree is built here (each body is built on
+// its first call); a section that fails validation
+// (counter code.load_errors) fails the read, which the store layer
+// treats like any other corrupt entry — quarantine and recompile. A V1 bin simply leaves Prog nil;
 // the exec phase compiles on demand.
 func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (*compiler.Unit, error) {
 	version := magicVersion(data)

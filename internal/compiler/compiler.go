@@ -75,17 +75,21 @@ type Unit struct {
 	HashTime time.Duration
 
 	// Prog is Code in compiled form (interp.CompileFn): the closure
-	// tree the default exec engine applies. Compile always sets it;
-	// V2 bin reads rebuild it from CodeBytes; V1 reads leave it nil
-	// and ExecuteObserved compiles on demand.
+	// tree the default exec engine applies, each function body built
+	// on its first application. Compile always sets it; V2 bin reads
+	// rebuild it
+	// from CodeBytes, validating the whole section; V1 reads leave it
+	// nil and ExecuteObserved compiles on demand.
 	Prog *interp.CompiledFn
 	// CodeBytes is the serialized slot layout of Prog — the bin
 	// file's code section (binfile V2). It does not feed StatPid:
 	// the intrinsic pid covers only the canonical env pickle, so
 	// pids are identical whatever the engine.
 	CodeBytes []byte
-	// CodeTime is the duration of the closure compilation inside
-	// Compile (counter code.compile_ns).
+	// CodeTime is the duration of interp.CompileFn's eager walk inside
+	// Compile (counter code.compile_ns): slot resolution over the whole
+	// term. Closure trees are built on each function's first call,
+	// inside the execute phase (time.exec_ns).
 	CodeTime time.Duration
 }
 

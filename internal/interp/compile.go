@@ -13,11 +13,14 @@ package interp
 // section (binfile V2): per Var in DFS order, the uvarint pair
 // (depth delta, slot). Binder slots are recomputed from the term shape
 // itself at load, so warm builds rebuild the compiled form without
-// ever constructing an LVar scope map (see DESIGN.md §4j).
+// ever constructing an LVar scope map (see DESIGN.md §4j). The walk
+// validates every coordinate up front but builds no closures; each
+// function's closure tree is built on its first call.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/lambda"
 )
@@ -89,7 +92,11 @@ type CompiledFn struct {
 	// NSlots is the activation-frame width: slot 0 holds the argument,
 	// the rest the body's Let/Fix/Handle binders in allocation order.
 	NSlots int
-	body   cnode
+	// body is the function's closure tree, built on its first
+	// application (force) from the record below and published
+	// atomically: two machines forcing one body concurrently each
+	// build the same tree, and the first to publish wins.
+	body atomic.Pointer[cnode]
 	// escapes reports whether an activation frame of this function can
 	// outlive the call: any Fn or Fix node under the body creates a
 	// closure whose captured chain includes this frame. A non-escaping
@@ -106,17 +113,63 @@ type CompiledFn struct {
 	// compile and from a warm bin load attribute identically. Neither
 	// ID nor tab is serialized: the bin code section stays byte-for-
 	// byte what it was without the profiler.
-	ID  int32
-	tab *fnTable
+	ID     int32
+	parent int32
+	tab    *fnTable
+
+	// What the eager walk recorded to build body later: the term, the
+	// body's coordinates section[start:end], the first ID after this
+	// function's subtree, and the enclosing frames' slot widths at the
+	// Fn node, tab.widths[outer:outer+depth].
+	term         *lambda.Fn
+	start, end   int32
+	next         int32
+	outer, depth int32
 }
 
 // fnTable is the per-unit side table shared by every CompiledFn of one
 // compiled term: the unit name (set once, before execution, by
-// SetUnit) and each function's lexically enclosing function, indexed
-// by ID (-1 for the root).
+// SetUnit), every function by ID, the validated code section bodies
+// are built from, and the enclosing-frame widths each function's
+// record points into.
 type fnTable struct {
 	unit    string
-	parents []int32
+	fns     []*CompiledFn
+	section []byte
+	widths  []int
+}
+
+// force builds f's body and publishes it. The apply paths call it when
+// f.body.Load() is nil — one atomic load and a nil test written out at
+// each call site, as an accessor around them costs more than the
+// inliner's budget. The section was validated by the eager walk, so a
+// failure here is an internal inconsistency; the body then crashes the
+// machine that applies it.
+func (f *CompiledFn) force() *cnode {
+	body, err := f.build()
+	if err != nil {
+		body = func(m *Machine, _ *Frame) Value { return m.crash("%v", err) }
+	}
+	f.body.CompareAndSwap(nil, &body)
+	return f.body.Load()
+}
+
+// build walks f's body in decode mode from the record the eager walk
+// left, constructing its closure tree. Nested functions are taken from
+// the table and their coordinates skipped, so each body is walked once
+// by the eager walk and once more on its first call. The frame width,
+// escape flag, end offset and subtree it recomputes must match the
+// record's.
+func (f *CompiledFn) build() (cnode, error) {
+	t := f.tab
+	c := &comp{in: t.section, pos: int(f.start), tab: t, build: true, next: f.ID + 1}
+	c.nslots = append(make([]int, 0, f.depth+1), t.widths[f.outer:f.outer+f.depth]...)
+	c.escaped = make([]bool, f.depth, f.depth+1)
+	body, n, esc := c.body(f.term)
+	if c.err == nil && (n != f.NSlots || esc != f.escapes || c.pos != int(f.end) || c.next != f.next) {
+		c.fail("code section: function %d rebuilt inconsistently", f.ID)
+	}
+	return body, c.err
 }
 
 // SetUnit records the owning unit's name on the whole compiled term.
@@ -141,16 +194,16 @@ func (f *CompiledFn) NumFuncs() int {
 	if f == nil || f.tab == nil {
 		return 0
 	}
-	return len(f.tab.parents)
+	return len(f.tab.fns)
 }
 
 // ParentOf returns the ID of the lexically enclosing function of id,
 // or -1 for the root (and for out-of-range ids).
 func (f *CompiledFn) ParentOf(id int32) int32 {
-	if f == nil || f.tab == nil || id < 0 || int(id) >= len(f.tab.parents) {
+	if f == nil || f.tab == nil || id < 0 || int(id) >= len(f.tab.fns) {
 		return -1
 	}
-	return f.tab.parents[id]
+	return f.tab.fns[id].parent
 }
 
 // Small-int cache: boxing an IntV into a Value allocates, and the int
@@ -191,7 +244,9 @@ func (*CompiledClosure) isValue() {}
 
 // CompileFn compiles a unit's code (the λ(import-vector).(exports)
 // function of §3) to the closure form, returning it with the
-// serialized slot layout — the bin file's code section.
+// serialized slot layout — the bin file's code section. The walk
+// resolves every coordinate and builds no closures; each function's
+// closure tree is built on its first application.
 func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
 	c := &comp{resolve: true, scope: make(map[lambda.LVar]loc), tab: &fnTable{}}
 	cf := c.fn(fn)
@@ -201,16 +256,21 @@ func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
 	if c.out == nil {
 		c.out = []byte{}
 	}
+	c.tab.section = c.out
 	return cf, c.out, nil
 }
 
 // LoadFn rebuilds the compiled form from the term plus a code section
-// produced by CompileFn, skipping scope resolution entirely. Every
-// coordinate is validated against the frames the term itself declares,
-// and the section must be consumed exactly, so a corrupt or forged
-// section yields an error — never a mis-indexed frame.
+// produced by CompileFn, skipping scope resolution entirely. The walk
+// covers the whole term: every coordinate, including those of function
+// bodies that never run, is validated against the frames the term
+// itself declares, and the section must be consumed exactly, so a
+// corrupt or forged section yields an error here, at load — never a
+// mis-indexed frame, and never a failure deferred to a first call. No
+// closure tree is built now; each function's is built from the
+// validated section on its first application.
 func LoadFn(fn *lambda.Fn, section []byte) (*CompiledFn, error) {
-	c := &comp{in: section, tab: &fnTable{}}
+	c := &comp{in: section, tab: &fnTable{section: section}}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, c.err
@@ -240,6 +300,7 @@ func IndexFns(root *lambda.Fn) (*CompiledFn, map[*lambda.Fn]*CompiledFn, error) 
 	if c.err != nil {
 		return nil, nil, c.err
 	}
+	c.tab.section = c.out
 	return cf, c.fnOf, nil
 }
 
@@ -256,9 +317,16 @@ type loc struct {
 // section, validating as it goes. Both modes share the one walk, so
 // slot allocation order — and therefore the meaning of every
 // coordinate — is identical by construction.
+//
+// The eager walk (CompileFn, LoadFn, IndexFns) covers the whole term
+// and constructs no closures, recording for each function where its
+// body's coordinates lie (CompiledFn's record). Building a body on its
+// first call is the same walk in decode mode over that body alone,
+// with build on.
 type comp struct {
 	resolve bool
 	scope   map[lambda.LVar]loc // resolve mode only
+	undo    []binding           // resolve mode: shadowed bindings to restore
 	nslots  []int               // per open frame: slots allocated so far
 	escaped []bool              // per open frame: captured by some closure
 	out     []byte              // resolve mode: section being built
@@ -267,18 +335,40 @@ type comp struct {
 	err     error
 
 	// Profiler identity, assigned by the same walk that assigns slots:
-	// tab collects each function's parent in DFS preorder; fnids is
-	// the stack of open function IDs; fnOf, when non-nil (IndexFns),
+	// tab collects every function in DFS preorder; fnids is the stack
+	// of open function IDs; fnOf, when non-nil (IndexFns),
 	// additionally maps term nodes to their compiled functions.
 	tab   *fnTable
 	fnids []int32
 	fnOf  map[*lambda.Fn]*CompiledFn
+
+	// build marks the walk that builds one recorded body: it constructs
+	// closures, the nested functions it meets are already in tab, and
+	// next is the ID of the next one.
+	build bool
+	next  int32
+}
+
+// binding is a scope entry bind displaced, restored by unbind.
+type binding struct {
+	lv  lambda.LVar
+	old loc
+	had bool
 }
 
 func (c *comp) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
+}
+
+// offset is the walk's position in the section: the next coordinate's
+// byte offset.
+func (c *comp) offset() int32 {
+	if c.resolve {
+		return int32(len(c.out))
+	}
+	return int32(c.pos)
 }
 
 func (c *comp) uvarint() uint64 {
@@ -333,60 +423,82 @@ func (c *comp) alloc() int {
 	return s
 }
 
-// bind enters lv at the given slot of the innermost frame, returning
-// what unbind needs to restore the outer scope (shadowing-safe).
-func (c *comp) bind(lv lambda.LVar, slot int) (loc, bool) {
-	if !c.resolve {
-		return loc{}, false
-	}
-	old, had := c.scope[lv]
-	c.scope[lv] = loc{depth: len(c.nslots), slot: slot}
-	return old, had
-}
-
-func (c *comp) unbind(lv lambda.LVar, old loc, had bool) {
+// bind enters lv at the given slot of the innermost frame, saving the
+// binding it shadows for unbind.
+func (c *comp) bind(lv lambda.LVar, slot int) {
 	if !c.resolve {
 		return
 	}
-	if had {
-		c.scope[lv] = old
-	} else {
-		delete(c.scope, lv)
+	old, had := c.scope[lv]
+	c.undo = append(c.undo, binding{lv: lv, old: old, had: had})
+	c.scope[lv] = loc{depth: len(c.nslots), slot: slot}
+}
+
+// unbind restores the scope the last n binds shadowed, innermost first.
+func (c *comp) unbind(n int) {
+	if !c.resolve {
+		return
+	}
+	for ; n > 0; n-- {
+		b := c.undo[len(c.undo)-1]
+		c.undo = c.undo[:len(c.undo)-1]
+		if b.had {
+			c.scope[b.lv] = b.old
+		} else {
+			delete(c.scope, b.lv)
+		}
 	}
 }
 
-// fn compiles one function: a fresh frame with the parameter at slot 0.
-// It also assigns the function's profiler ID — its DFS preorder index
-// — and records its enclosing function, in the same walk that assigns
-// slots, so resolve and decode mode agree on identities exactly as
-// they agree on coordinates.
+// fn records one function and walks its body for its coordinates,
+// frame width and escapes. It assigns the function's profiler ID — its
+// DFS preorder index — and its enclosing function, in the same walk
+// that assigns slots, so resolve and decode mode agree on identities
+// exactly as they agree on coordinates.
 func (c *comp) fn(e *lambda.Fn) *CompiledFn {
-	id := int32(len(c.tab.parents))
+	if c.build {
+		// Recorded, subtree and all, by the eager walk: reuse it and
+		// skip its body's coordinates.
+		f := c.tab.fns[c.next]
+		c.next = f.next
+		c.pos = int(f.end)
+		return f
+	}
+	id := int32(len(c.tab.fns))
 	parent := int32(-1)
 	if len(c.fnids) > 0 {
 		parent = c.fnids[len(c.fnids)-1]
 	}
-	c.tab.parents = append(c.tab.parents, parent)
-	c.fnids = append(c.fnids, id)
-	c.nslots = append(c.nslots, 1)
-	c.escaped = append(c.escaped, false)
-	old, had := c.bind(e.Param, 0)
-	body := c.walk(e.Body)
-	c.unbind(e.Param, old, had)
 	f := &CompiledFn{
-		NSlots:  c.nslots[len(c.nslots)-1],
-		body:    body,
-		escapes: c.escaped[len(c.escaped)-1],
-		ID:      id,
-		tab:     c.tab,
+		ID: id, parent: parent, tab: c.tab, term: e, start: c.offset(),
+		outer: int32(len(c.tab.widths)), depth: int32(len(c.nslots)),
 	}
-	c.nslots = c.nslots[:len(c.nslots)-1]
-	c.escaped = c.escaped[:len(c.escaped)-1]
+	c.tab.fns = append(c.tab.fns, f)
+	c.tab.widths = append(c.tab.widths, c.nslots...)
+	c.fnids = append(c.fnids, id)
+	_, n, esc := c.body(e)
 	c.fnids = c.fnids[:len(c.fnids)-1]
+	f.NSlots, f.escapes = n, esc
+	f.end, f.next = c.offset(), int32(len(c.tab.fns))
 	if c.fnOf != nil {
 		c.fnOf[e] = f
 	}
 	return f
+}
+
+// body walks a function body in a fresh frame with the parameter at
+// slot 0, returning its closure tree (nil unless building), frame
+// width and escape flag.
+func (c *comp) body(e *lambda.Fn) (cnode, int, bool) {
+	c.nslots = append(c.nslots, 1)
+	c.escaped = append(c.escaped, false)
+	c.bind(e.Param, 0)
+	body := c.walk(e.Body)
+	c.unbind(1)
+	n, esc := c.nslots[len(c.nslots)-1], c.escaped[len(c.escaped)-1]
+	c.nslots = c.nslots[:len(c.nslots)-1]
+	c.escaped = c.escaped[:len(c.escaped)-1]
+	return body, n, esc
 }
 
 // markEscapes records that a closure is created at the current point:
@@ -397,7 +509,14 @@ func (c *comp) markEscapes() {
 	}
 }
 
+// walkAll walks es in order; the nodes are nil unless building.
 func (c *comp) walkAll(es []lambda.Exp) []cnode {
+	if !c.build {
+		for _, e := range es {
+			c.walk(e)
+		}
+		return nil
+	}
 	out := make([]cnode, len(es))
 	for i, e := range es {
 		out[i] = c.walk(e)
@@ -405,10 +524,16 @@ func (c *comp) walkAll(es []lambda.Exp) []cnode {
 	return out
 }
 
+// walk visits e, returning its closure tree when building and nil
+// otherwise. Scoping, slot allocation and coordinates are the same
+// either way; only closure construction is skipped.
 func (c *comp) walk(e lambda.Exp) cnode {
 	switch e := e.(type) {
 	case *lambda.Var:
 		delta, slot := c.coord(e.LV)
+		if !c.build {
+			return nil
+		}
 		switch delta {
 		case 0:
 			return func(m *Machine, fr *Frame) Value { return fr.slots[slot] }
@@ -423,27 +548,24 @@ func (c *comp) walk(e lambda.Exp) cnode {
 				return f.slots[slot]
 			}
 		}
-	case *lambda.Int:
-		v := boxInt(e.Val)
-		return func(*Machine, *Frame) Value { return v }
-	case *lambda.Word:
-		v := WordV(e.Val)
-		return func(*Machine, *Frame) Value { return v }
-	case *lambda.Real:
-		v := RealV(e.Val)
-		return func(*Machine, *Frame) Value { return v }
-	case *lambda.Str:
-		v := StrV(e.Val)
-		return func(*Machine, *Frame) Value { return v }
-	case *lambda.Char:
-		v := CharV(e.Val)
-		return func(*Machine, *Frame) Value { return v }
+	case *lambda.Int, *lambda.Word, *lambda.Real, *lambda.Str, *lambda.Char,
+		*lambda.NewExnTag, *lambda.Builtin:
+		if !c.build {
+			return nil
+		}
+		return leaf(e)
 	case *lambda.Record:
 		if len(e.Fields) == 0 {
+			if !c.build {
+				return nil
+			}
 			u := Unit()
 			return func(*Machine, *Frame) Value { return u }
 		}
 		fields := c.walkAll(e.Fields)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			vs := make(RecordV, len(fields))
 			for i, f := range fields {
@@ -453,6 +575,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.Select:
 		rec := c.walk(e.Rec)
+		if !c.build {
+			return nil
+		}
 		idx := e.Idx
 		return func(m *Machine, fr *Frame) Value {
 			v := rec(m, fr)
@@ -465,33 +590,41 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	case *lambda.Fn:
 		c.markEscapes()
 		fn := c.fn(e)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			return &CompiledClosure{Fn: fn, Env: fr}
 		}
 	case *lambda.Fix:
 		c.markEscapes()
-		// Allocate all name slots first, then compile the functions and
-		// body under the extended scope; at run time the closures are
-		// written into the shared frame before the body runs, which ties
-		// the mutual-recursion knot through the frame pointer.
-		slots := make([]int, len(e.Names))
-		olds := make([]loc, len(e.Names))
-		hads := make([]bool, len(e.Names))
-		for i, name := range e.Names {
-			slots[i] = c.alloc()
-			olds[i], hads[i] = c.bind(name, slots[i])
+		// Allocate all name slots first (consecutive, from base), then
+		// compile the functions and body under the extended scope; at
+		// run time the closures are written into the shared frame
+		// before the body runs, which ties the mutual-recursion knot
+		// through the frame pointer.
+		base := c.nslots[len(c.nslots)-1]
+		for _, name := range e.Names {
+			c.bind(name, c.alloc())
 		}
-		fns := make([]*CompiledFn, len(e.Fns))
+		var fns []*CompiledFn
+		if c.build {
+			fns = make([]*CompiledFn, len(e.Fns))
+		}
 		for i, fn := range e.Fns {
-			fns[i] = c.fn(fn)
+			f := c.fn(fn)
+			if fns != nil {
+				fns[i] = f
+			}
 		}
 		body := c.walk(e.Body)
-		for i := len(e.Names) - 1; i >= 0; i-- {
-			c.unbind(e.Names[i], olds[i], hads[i])
+		c.unbind(len(e.Names))
+		if !c.build {
+			return nil
 		}
 		return func(m *Machine, fr *Frame) Value {
 			for i, fn := range fns {
-				fr.slots[slots[i]] = &CompiledClosure{Fn: fn, Env: fr}
+				fr.slots[base+i] = &CompiledClosure{Fn: fn, Env: fr}
 			}
 			return body(m, fr)
 		}
@@ -522,20 +655,23 @@ func (c *comp) walk(e lambda.Exp) cnode {
 					core = l.Body
 				}
 				if args, ok := etaPrimArgs(fn.Param, prim.Args, core); ok {
-					binds := make([]cnode, len(lets))
-					slots := make([]int, len(lets))
-					olds := make([]loc, len(lets))
-					hads := make([]bool, len(lets))
+					var binds []cnode
+					var slots []int
+					if c.build {
+						binds = make([]cnode, len(lets))
+						slots = make([]int, len(lets))
+					}
 					for i, l := range lets {
-						binds[i] = c.walk(l.Bind)
-						slots[i] = c.alloc()
-						olds[i], hads[i] = c.bind(l.LV, slots[i])
+						b := c.walk(l.Bind)
+						slot := c.alloc()
+						c.bind(l.LV, slot)
+						if c.build {
+							binds[i], slots[i] = b, slot
+						}
 					}
-					primc := c.prim(&lambda.Prim{Op: prim.Op, Args: args})
-					for i := len(lets) - 1; i >= 0; i-- {
-						c.unbind(lets[i].LV, olds[i], hads[i])
-					}
-					if len(lets) == 0 {
+					primc := c.prim(prim.Op, args)
+					c.unbind(len(lets))
+					if len(lets) == 0 || !c.build {
 						return primc
 					}
 					return func(m *Machine, fr *Frame) Value {
@@ -548,9 +684,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			}
 			argc := c.walk(e.Arg)
 			slot := c.alloc()
-			old, had := c.bind(fn.Param, slot)
+			c.bind(fn.Param, slot)
 			bodyc := c.walk(fn.Body)
-			c.unbind(fn.Param, old, had)
+			c.unbind(1)
+			if !c.build {
+				return nil
+			}
 			return func(m *Machine, fr *Frame) Value {
 				fr.slots[slot] = argc(m, fr)
 				return bodyc(m, fr)
@@ -558,6 +697,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		fnc := c.walk(e.Fn)
 		argc := c.walk(e.Arg)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			return m.apply(fnc(m, fr), argc(m, fr))
 		}
@@ -572,28 +714,40 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		bindc := c.walk(e.Bind)
 		slot := c.alloc()
-		old, had := c.bind(e.LV, slot)
+		c.bind(e.LV, slot)
 		bodyc := c.walk(e.Body)
-		c.unbind(e.LV, old, had)
+		c.unbind(1)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			fr.slots[slot] = bindc(m, fr)
 			return bodyc(m, fr)
 		}
 	case *lambda.Con:
 		if e.Arg == nil {
+			if !c.build {
+				return nil
+			}
 			// Nullary constructors are immutable and compared
 			// structurally, so one shared value is observationally
 			// identical to a fresh one per evaluation.
 			v := &ConV{Tag: e.Tag, Name: e.Name}
 			return func(*Machine, *Frame) Value { return v }
 		}
-		tag, name := e.Tag, e.Name
 		argc := c.walk(e.Arg)
+		if !c.build {
+			return nil
+		}
+		tag, name := e.Tag, e.Name
 		return func(m *Machine, fr *Frame) Value {
 			return &ConV{Tag: tag, Name: name, Arg: argc(m, fr)}
 		}
 	case *lambda.Decon:
 		ec := c.walk(e.Exp)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			cv, ok := v.(*ConV)
@@ -602,16 +756,14 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			}
 			return cv.Arg
 		}
-	case *lambda.NewExnTag:
-		// Exception declarations are generative: a fresh tag identity
-		// per evaluation, exactly like the tree walker.
-		name := e.Name
-		return func(*Machine, *Frame) Value { return &ExnTag{Name: name} }
 	case *lambda.ExnCon:
 		tagc := c.walk(e.Tag)
 		var argc cnode
 		if e.Arg != nil {
 			argc = c.walk(e.Arg)
+		}
+		if !c.build {
+			return nil
 		}
 		return func(m *Machine, fr *Frame) Value {
 			tv := tagc(m, fr)
@@ -627,6 +779,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.ExnDecon:
 		ec := c.walk(e.Exp)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			ev, ok := v.(*ExnV)
@@ -639,6 +794,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		condc := c.walk(e.Cond)
 		thenc := c.walk(e.Then)
 		elsec := c.walk(e.Else)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			if Truth(condc(m, fr)) {
 				return thenc(m, fr)
@@ -648,18 +806,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	case *lambda.Switch:
 		return c.switchNode(e)
 	case *lambda.Prim:
-		return c.prim(e)
-	case *lambda.Builtin:
-		name := e.Name
-		return func(m *Machine, fr *Frame) Value {
-			v, ok := m.builtins[name]
-			if !ok {
-				m.crash("unknown builtin %q", name)
-			}
-			return v
-		}
+		return c.prim(e.Op, e.Args)
 	case *lambda.Raise:
 		ec := c.walk(e.Exp)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			ev, ok := v.(*ExnV)
@@ -671,9 +823,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	case *lambda.Handle:
 		bodyc := c.walk(e.Body)
 		slot := c.alloc()
-		old, had := c.bind(e.Param, slot)
+		c.bind(e.Param, slot)
 		handlerc := c.walk(e.Handler)
-		c.unbind(e.Param, old, had)
+		c.unbind(1)
+		if !c.build {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) (result Value) {
 			caught := func() (packet *ExnV) {
 				defer func() {
@@ -699,6 +854,42 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	return func(m *Machine, fr *Frame) Value {
 		return m.crash("uncompilable node %T", e)
 	}
+}
+
+// leaf compiles a node with no subterms and no coordinate.
+func leaf(e lambda.Exp) cnode {
+	switch e := e.(type) {
+	case *lambda.Int:
+		v := boxInt(e.Val)
+		return func(*Machine, *Frame) Value { return v }
+	case *lambda.Word:
+		v := WordV(e.Val)
+		return func(*Machine, *Frame) Value { return v }
+	case *lambda.Real:
+		v := RealV(e.Val)
+		return func(*Machine, *Frame) Value { return v }
+	case *lambda.Str:
+		v := StrV(e.Val)
+		return func(*Machine, *Frame) Value { return v }
+	case *lambda.Char:
+		v := CharV(e.Val)
+		return func(*Machine, *Frame) Value { return v }
+	case *lambda.NewExnTag:
+		// Exception declarations are generative: a fresh tag identity
+		// per evaluation, exactly like the tree walker.
+		name := e.Name
+		return func(*Machine, *Frame) Value { return &ExnTag{Name: name} }
+	case *lambda.Builtin:
+		name := e.Name
+		return func(m *Machine, fr *Frame) Value {
+			v, ok := m.builtins[name]
+			if !ok {
+				m.crash("unknown builtin %q", name)
+			}
+			return v
+		}
+	}
+	panic(fmt.Sprintf("interp: leaf of %T", e))
 }
 
 // etaPrimArgs recognizes the elaborator's eta-expansion shape applied
@@ -807,13 +998,22 @@ func usesVar(e lambda.Exp, lv lambda.LVar) bool {
 
 func (c *comp) switchNode(e *lambda.Switch) cnode {
 	scrut := c.walk(e.Scrut)
-	bodies := make([]cnode, len(e.Cases))
+	var bodies []cnode
+	if c.build {
+		bodies = make([]cnode, len(e.Cases))
+	}
 	for i, cs := range e.Cases {
-		bodies[i] = c.walk(cs.Body)
+		b := c.walk(cs.Body)
+		if c.build {
+			bodies[i] = b
+		}
 	}
 	var def cnode
 	if e.Default != nil {
 		def = c.walk(e.Default)
+	}
+	if !c.build {
+		return nil
 	}
 	cases := e.Cases
 	miss := func(m *Machine, fr *Frame) Value {
@@ -904,9 +1104,11 @@ func (c *comp) switchNode(e *lambda.Switch) cnode {
 // elaborated basis produces overwhelmingly often; every fast path
 // falls back to the shared Machine implementation on any other
 // representation, so semantics (overflow, Div, crashes) are identical.
-func (c *comp) prim(e *lambda.Prim) cnode {
-	args := c.walkAll(e.Args)
-	op := e.Op
+func (c *comp) prim(op string, es []lambda.Exp) cnode {
+	args := c.walkAll(es)
+	if !c.build {
+		return nil
+	}
 	if len(args) == 2 {
 		a, b := args[0], args[1]
 		switch op {

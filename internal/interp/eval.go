@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/lambda"
@@ -348,7 +347,11 @@ func (m *Machine) apply(fn, arg Value) Value {
 				fr = newFrame(c.Env, cf.NSlots)
 			}
 			fr.slots[0] = arg
-			v := cf.body(m, fr)
+			body := cf.body.Load()
+			if body == nil {
+				body = cf.force()
+			}
+			v := (*body)(m, fr)
 			fr.up = nil
 			for i := range fr.slots {
 				fr.slots[i] = nil
@@ -356,9 +359,13 @@ func (m *Machine) apply(fn, arg Value) Value {
 			m.framePool = append(m.framePool, fr)
 			return v
 		}
+		body := cf.body.Load()
+		if body == nil {
+			body = cf.force()
+		}
 		fr := newFrame(c.Env, cf.NSlots)
 		fr.slots[0] = arg
-		return cf.body(m, fr)
+		return (*body)(m, fr)
 	case *Closure:
 		return m.eval(c.Body, c.Env.Bind(c.Param, arg))
 	}
@@ -944,21 +951,4 @@ func (m *Machine) shiftArg(v Value) uint64 {
 
 // PrimNames lists the implemented primitive operators, sorted; used by
 // tests to keep the basis and the machine in sync.
-func PrimNames() []string {
-	names := []string{
-		"add", "sub", "mul", "div", "mod", "quot", "rem", "fdiv", "neg", "abs",
-		"lt", "le", "gt", "ge", "eq", "ne",
-		"concat", "size", "str", "chr", "ord", "explode", "implode",
-		"substring", "real", "floor", "ceil", "round", "trunc",
-		"sqrt", "ln", "exp", "sin", "cos", "atan",
-		"intToString", "realToString",
-		"ref", "deref", "assign", "print",
-		"exnName", "exnMatches", "raiseDiv", "raiseMatch", "raiseBind",
-		"andb", "orb", "xorb", "notb", "lshift", "rshift",
-		"wordToInt", "intToWord",
-		"array", "arrayFromList", "asub", "aupdate", "alength",
-		"vectorFromList", "vsub", "vlength",
-	}
-	sort.Strings(names)
-	return names
-}
+func PrimNames() []string { return lambda.PrimOps() }

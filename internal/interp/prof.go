@@ -314,9 +314,13 @@ func (m *Machine) applyProf(fn, arg Value) Value {
 			p.push(cf)
 			defer p.pop()
 		}
+		body := cf.body.Load()
+		if body == nil {
+			body = cf.force()
+		}
 		fr := newFrame(c.Env, cf.NSlots)
 		fr.slots[0] = arg
-		return cf.body(m, fr)
+		return (*body)(m, fr)
 	case *Closure:
 		if p.cur != nil {
 			if cf := p.reg.lookup(c.Body); cf != nil {

@@ -9,7 +9,9 @@
 //
 // Concurrency: a Machine is confined to a single goroutine. The IRM
 // executes units only from the build's coordinator, in commit order,
-// so parallel builds never evaluate two units at once.
+// so parallel builds never evaluate two units at once. A CompiledFn may
+// be applied from several machines at once: its body, built on first
+// call, is published atomically.
 package interp
 
 import (

@@ -145,6 +145,44 @@ type Prim struct {
 	Args []Exp
 }
 
+// primOpNames lists the primitive operators interp.Machine implements,
+// sorted.
+var primOpNames = [...]string{
+	"abs", "add", "alength", "andb", "array", "arrayFromList", "assign",
+	"asub", "atan", "aupdate", "ceil", "chr", "concat", "cos", "deref",
+	"div", "eq", "exnMatches", "exnName", "exp", "explode", "fdiv",
+	"floor", "ge", "gt", "implode", "intToString", "intToWord", "le",
+	"ln", "lshift", "lt", "mod", "mul", "ne", "neg", "notb", "orb", "ord",
+	"print", "quot", "raiseBind", "raiseDiv", "raiseMatch", "real",
+	"realToString", "ref", "rem", "round", "rshift", "sin", "size",
+	"sqrt", "str", "sub", "substring", "trunc", "vectorFromList",
+	"vlength", "vsub", "wordToInt", "xorb",
+}
+
+// primOps maps each known operator name to its one shared string. It
+// is filled at start-up and only read after, so concurrent decoders
+// share it safely and a forged name can never grow it.
+var primOps = func() map[string]string {
+	m := make(map[string]string, len(primOpNames))
+	for _, op := range primOpNames {
+		m[op] = op
+	}
+	return m
+}()
+
+// PrimOps returns the primitive operator names, sorted.
+func PrimOps() []string { return append([]string(nil), primOpNames[:]...) }
+
+// InternPrimOp returns the operator named b: the shared string when b
+// names a known operator, a fresh copy otherwise. Decoders use it so
+// the Prim nodes of a loaded term do not each allocate their name.
+func InternPrimOp(b []byte) string {
+	if op, ok := primOps[string(b)]; ok {
+		return op
+	}
+	return string(b)
+}
+
 // Builtin references a value supplied by the runtime basis (for
 // example the tags of the built-in exceptions Match, Bind, Div).
 type Builtin struct{ Name string }

@@ -191,6 +191,10 @@ func (u *Unpickler) Lambda() lambda.Exp {
 	case lFix:
 		n := u.r.int()
 		fix := &lambda.Fix{}
+		if n > 0 {
+			fix.Names = make([]lambda.LVar, 0, u.r.capFor(n))
+			fix.Fns = make([]*lambda.Fn, 0, u.r.capFor(n))
+		}
 		for i := 0; i < n && u.r.err == nil; i++ {
 			fix.Names = append(fix.Names, lambda.LVar(u.r.int()))
 			fn, ok := u.Lambda().(*lambda.Fn)
@@ -249,8 +253,11 @@ func (u *Unpickler) Lambda() lambda.Exp {
 		}
 		return sw
 	case lPrim:
-		pr := &lambda.Prim{Op: u.r.string()}
+		pr := &lambda.Prim{Op: lambda.InternPrimOp(u.r.stringBytes())}
 		n := u.r.int()
+		if n > 0 {
+			pr.Args = make([]lambda.Exp, 0, u.r.capFor(n))
+		}
 		for i := 0; i < n && u.r.err == nil; i++ {
 			pr.Args = append(pr.Args, u.Lambda())
 		}

@@ -3,6 +3,7 @@ package pickle
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/ast"
@@ -327,16 +328,23 @@ func TestLambdaRoundTrip(t *testing.T) {
 	e := &lambda.Fn{Param: 1, Body: &lambda.Let{
 		LV:   2,
 		Bind: &lambda.Prim{Op: "add", Args: []lambda.Exp{&lambda.Int{Val: 1}, &lambda.Var{LV: 1}}},
-		Body: &lambda.Switch{
-			Kind:  lambda.SwitchConTag,
-			Scrut: &lambda.Var{LV: 2},
-			Span:  2,
-			Cases: []lambda.Case{
-				{Tag: 0, Body: &lambda.Raise{Exp: &lambda.ExnCon{Tag: &lambda.Builtin{Name: "Div"}}}},
-				{Tag: 1, Body: &lambda.Handle{
-					Body: &lambda.Real{Val: 2.5}, Param: 3,
-					Handler: &lambda.Var{LV: 3},
-				}},
+		Body: &lambda.Fix{
+			Names: []lambda.LVar{4, 5},
+			Fns: []*lambda.Fn{
+				{Param: 6, Body: &lambda.Prim{Op: "raiseMatch"}},
+				{Param: 7, Body: &lambda.Prim{Op: "notAPrimitive", Args: []lambda.Exp{&lambda.Var{LV: 7}}}},
+			},
+			Body: &lambda.Switch{
+				Kind:  lambda.SwitchConTag,
+				Scrut: &lambda.Var{LV: 2},
+				Span:  2,
+				Cases: []lambda.Case{
+					{Tag: 0, Body: &lambda.Raise{Exp: &lambda.ExnCon{Tag: &lambda.Builtin{Name: "Div"}}}},
+					{Tag: 1, Body: &lambda.Handle{
+						Body: &lambda.Real{Val: 2.5}, Param: 3,
+						Handler: &lambda.Var{LV: 3},
+					}},
+				},
 			},
 		},
 	}}
@@ -350,8 +358,32 @@ func TestLambdaRoundTrip(t *testing.T) {
 	if u.Err() != nil {
 		t.Fatal(u.Err())
 	}
-	if lambda.String(out) != lambda.String(e) {
+	if !reflect.DeepEqual(out, lambda.Exp(e)) {
 		t.Errorf("lambda round trip:\n%s\n%s", lambda.String(e), lambda.String(out))
+	}
+	if u.table != nil {
+		t.Error("decoding a lambda term allocated the back-reference table")
+	}
+}
+
+// TestLambdaForgedCounts: a forged element count in a Prim or Fix node
+// fails the decode without sizing an allocation from it.
+func TestLambdaForgedCounts(t *testing.T) {
+	var w writer
+	w.byteVal(lPrim)
+	w.string("add")
+	w.int(1 << 50)
+	prim := append([]byte(nil), w.buf...)
+	w = writer{}
+	w.byteVal(lFix)
+	w.int(1 << 50)
+	fix := append([]byte(nil), w.buf...)
+	for name, data := range map[string][]byte{"prim": prim, "fix": fix} {
+		u := NewUnpickler(data, NewIndex())
+		u.Lambda()
+		if u.Err() == nil {
+			t.Errorf("%s with a forged count decoded", name)
+		}
 	}
 }
 

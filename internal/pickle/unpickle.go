@@ -33,11 +33,7 @@ func tableCapFor(streamLen int) int {
 // ix. The cursor is zero-copy: data must not be mutated while the
 // unpickler reads from it.
 func NewUnpickler(data []byte, ix *Index) *Unpickler {
-	return &Unpickler{
-		r:     reader{data: data},
-		index: ix,
-		table: make([]any, 0, tableCapFor(len(data))),
-	}
+	return &Unpickler{r: reader{data: data}, index: ix}
 }
 
 // Err returns the first decode error.
@@ -64,7 +60,15 @@ func (u *Unpickler) Skip(n int) {
 	u.r.pos += n
 }
 
-func (u *Unpickler) register(obj any) { u.table = append(u.table, obj) }
+// register appends obj to the back-reference table, allocating the
+// table on first use: headers, lambda terms and cached env segments
+// register nothing.
+func (u *Unpickler) register(obj any) {
+	if u.table == nil {
+		u.table = make([]any, 0, tableCapFor(len(u.r.data)))
+	}
+	u.table = append(u.table, obj)
+}
 
 func (u *Unpickler) backref(id uint64) any {
 	if id == 0 || id > uint64(len(u.table)) {

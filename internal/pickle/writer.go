@@ -196,16 +196,34 @@ func (r *reader) int() int   { return int(r.varint()) }
 func (r *reader) bool() bool { return r.byteVal() != 0 }
 
 func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil || n > 1<<22 {
-		r.error("pickle: string too long")
-		return ""
-	}
-	b := r.take(int(n))
+	b := r.stringBytes()
 	if r.err != nil {
 		return ""
 	}
 	return string(b)
+}
+
+// stringBytes reads a string's bytes without copying them.
+func (r *reader) stringBytes() []byte {
+	n := r.uvarint()
+	if r.err != nil || n > 1<<22 {
+		r.error("pickle: string too long")
+		return nil
+	}
+	return r.take(int(n))
+}
+
+// capFor bounds a decoded element count for presizing: each element
+// takes at least one byte, so no honest count exceeds the bytes left,
+// and a forged one cannot force a large allocation.
+func (r *reader) capFor(n int) int {
+	if left := len(r.data) - r.pos; n > left {
+		n = left
+	}
+	if n < 0 {
+		return 0
+	}
+	return n
 }
 
 func (r *reader) float64() float64 {
