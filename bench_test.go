@@ -795,6 +795,42 @@ func BenchmarkBuildNull(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildEdit is the watch/daemon path: one Manager.Build per
+// iteration after one edit of a seeded workload.EditDriver stream, on
+// the `irm bench` default project (60 units × 30 lines) with a memory
+// store primed by a cold build and one EnvCache shared by every build,
+// as a long-lived `irm watch` or `irm daemon` process runs it. Each
+// edit replaces the unit's previous one, so the project keeps its size.
+// The per-build fixed costs — session fork, scan, rehydration of the
+// unchanged units — and the edited units' recompiles are the work. It
+// is in benchgate's gated set.
+func BenchmarkBuildEdit(b *testing.B) {
+	p := workload.Generate(workload.Config{
+		Shape: workload.Layered, Units: 60, LinesPerUnit: 30, FunsPerUnit: 4,
+		FanIn: 3, LayerWidth: 6, Seed: 1,
+	})
+	store := core.NewMemStore()
+	cache := pickle.NewEnvCache(0)
+	build := func(files []core.File) {
+		m := core.NewManager()
+		m.Store = store
+		m.EnvCache = cache
+		if _, err := m.Build(files); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build(p.Files)
+	files := append([]core.File(nil), p.Files...)
+	drv := workload.NewEditDriver("", len(files), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := drv.Plan()
+		files[e.Unit].Source = workload.ApplyEdit(p.Files[e.Unit].Source, e.Unit, e.Kind, e.Seq)
+		build(files)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
 // execution on both engines. These three are in benchgate's gated set

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/env"
 	"repro/internal/obs"
 	"repro/internal/pickle"
 )
@@ -182,5 +183,44 @@ func TestEnvCacheEviction(t *testing.T) {
 	}
 	if n := buf.Get("cache.env_misses"); n != 1 {
 		t.Errorf("disabled cache misses=%d, want 1", n)
+	}
+}
+
+// TestReadCachedHitLeavesIndexUnread: the rehydration index is read
+// only by the env decode, so a lazy overlay handed to a cache hit is
+// never consulted (and never filled), while a miss resolves its stubs
+// through it.
+func TestReadCachedHitLeavesIndexUnread(t *testing.T) {
+	s := newSession(t)
+	if _, err := s.Run("lib", `datatype color = Red | Green  fun pick b = if b then Red else Green`); err != nil {
+		t.Fatalf("compile lib: %v", err)
+	}
+	lib := s.Units[len(s.Units)-1]
+	client, err := s.Run("client", `val c = pick true  val cs = [c, Green]`)
+	if err != nil {
+		t.Fatalf("compile client: %v", err)
+	}
+	data, err := Encode(client)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	cache := pickle.NewEnvCache(0)
+	base := newSession(t).Index
+	for _, want := range []string{"miss", "hit"} {
+		ix := pickle.NewLazyOverlay(base, []*env.Env{lib.Env})
+		buf := obs.NewBuffer()
+		if _, err := ReadCached(data, ix, cache, buf); err != nil {
+			t.Fatalf("%s: %v", want, err)
+		}
+		switch want {
+		case "miss":
+			if buf.Get("cache.env_misses") != 1 || ix.Lookups == 0 {
+				t.Errorf("miss: misses %d, index lookups %d", buf.Get("cache.env_misses"), ix.Lookups)
+			}
+		case "hit":
+			if buf.Get("cache.env_hits") != 1 || ix.Lookups != 0 {
+				t.Errorf("hit: hits %d, index lookups %d", buf.Get("cache.env_hits"), ix.Lookups)
+			}
+		}
 	}
 }

@@ -14,7 +14,9 @@
 // static pid of its interface.
 //
 // Concurrency: a Session is confined to one goroutine (the build's
-// coordinator). Compile and CompileDecs may run in many goroutines at
+// coordinator). Sessions are forks of a per-process prelude template
+// that nothing mutates after its one-time bootstrap, so sessions on
+// different goroutines may be created and used at once. Compile and CompileDecs may run in many goroutines at
 // once, provided each call's context env is layered over envs that
 // are no longer mutated, and each CompileDecs call has its own syntax
 // tree — the property the parallel scheduler in internal/core is

@@ -4,11 +4,14 @@
 package core_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/workload"
 )
 
@@ -139,4 +142,46 @@ func TestConcurrentWorkloadBuilds(t *testing.T) {
 	if m.Stats.Corrupt != 0 {
 		t.Errorf("workload cache left %d torn entries", m.Stats.Corrupt)
 	}
+}
+
+// TestConcurrentForksAndBuilds: goroutines that each fork a session,
+// run a unit in it and run a Manager.Build share the per-process
+// prelude templates of both engines (run under -race). Each sees its
+// own output and the basis exceptions of the shared prelude.
+func TestConcurrentForksAndBuilds(t *testing.T) {
+	files := []core.File{
+		{Name: "a.sml", Source: "fun f n = if n < 1 then 0 else n + f (n - 1)\nval _ = print (Int.toString (f 10))"},
+		{Name: "b.sml", Source: "val _ = print (\"/\" ^ Int.toString (hd [] handle Empty => f 3))"},
+	}
+	const n = 6
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		eng := interp.Engine(i % 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sout, bout bytes.Buffer
+			s, err := compiler.NewSessionWith(&sout, eng)
+			if err != nil {
+				t.Errorf("%s fork: %v", eng, err)
+				return
+			}
+			if _, err := s.Run("u", "val _ = print (Int.toString (length [1, 2, 3] div 1))"); err != nil {
+				t.Errorf("%s run: %v", eng, err)
+				return
+			}
+			m := core.NewManager()
+			m.Engine = eng
+			m.Stdout = &bout
+			if _, err := m.Build(files); err != nil {
+				t.Errorf("%s build: %v", eng, err)
+				return
+			}
+			if sout.String() != "3" || bout.String() != "55/6" {
+				t.Errorf("%s: session printed %q, build printed %q; want \"3\" and \"55/6\"",
+					eng, sout.String(), bout.String())
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -389,6 +389,9 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		defer release()
 	}
 
+	// The session is a fork of the process's prelude template: the
+	// first build in a process bootstraps the basis and prelude, every
+	// later one only forks (compiler.NewSessionWith).
 	sspan := bspan.Child(obs.CatPhase, "session")
 	session, err := compiler.NewSessionWith(m.Stdout, m.Engine)
 	sspan.End()
@@ -397,18 +400,18 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	}
 	// Observe the execute side too: the dynamic environment and the
 	// machine report dynenv.*/interp.* counters into the same
-	// collector. Attached after the prelude bootstrap, so the deltas
-	// cover exactly this build's units.
+	// collector. The prelude ran on the template's own machine, so the
+	// deltas cover exactly this build's units.
 	session.Dyn.Obs = col
 	session.Machine.Obs = col
-	// Attached after the prelude bootstrap, like the recorders: the
-	// budget covers the build's units, not the prelude.
+	// The fork's machine starts at zero steps, so the budget covers the
+	// build's units, not the prelude: after a build, Machine.Steps is
+	// the build's exec.steps.
 	session.Machine.MaxSteps = m.MaxSteps
-	// Profiling, too, starts after the bootstrap: the prelude's own
-	// execution is never sampled (it ran before StartProfile), but its
-	// functions are registered and symbolized here so prelude frames
-	// inside unit executions attribute to "$prelude" bindings under
-	// either engine.
+	// The prelude's own execution is never sampled (it ran on the
+	// template's machine), but its functions are registered and
+	// symbolized here so prelude frames inside unit executions
+	// attribute to "$prelude" bindings under either engine.
 	m.Prof, m.profB = nil, nil
 	if m.ProfilePeriod > 0 {
 		session.Machine.StartProfile(m.ProfilePeriod)

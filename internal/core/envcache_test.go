@@ -108,3 +108,40 @@ func TestEnvCacheSharedAcrossConcurrentManagers(t *testing.T) {
 		}
 	}
 }
+
+// TestInterfaceEditsRetireEnvCacheEntries: a recompile that moves a
+// unit's interface pid drops the superseded pid's cache entry, so after
+// any number of interface edits a null rebuild leaves exactly one entry
+// per unit instead of one per interface the session ever saw.
+func TestInterfaceEditsRetireEnvCacheEntries(t *testing.T) {
+	p := workload.Generate(workload.Small())
+	store := core.NewMemStore()
+	cache := pickle.NewEnvCache(0)
+	files := append([]core.File(nil), p.Files...)
+	build := func() *core.Manager {
+		m := core.NewManager()
+		m.Store = store
+		m.EnvCache = cache
+		if _, err := m.Build(files); err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return m
+	}
+	build()
+	build() // the null rebuild rehydrates, and caches, every unit
+	n := len(files)
+	if cache.Len() != n {
+		t.Fatalf("after the null rebuild the cache holds %d entries, want %d", cache.Len(), n)
+	}
+	for gen := 1; gen <= 8; gen++ {
+		files[0].Source = workload.ApplyEdit(p.Files[0].Source, 0, workload.InterfaceEdit, gen)
+		if m := build(); m.Counters["build.compiled"] == 0 || m.Counters["build.cutoffs"] == m.Counters["build.compiled"] {
+			t.Fatalf("edit %d: compiled %d, cutoffs %d; the interface edit moved no pid",
+				gen, m.Counters["build.compiled"], m.Counters["build.cutoffs"])
+		}
+		build()
+		if cache.Len() != n {
+			t.Fatalf("after %d interface edits the cache holds %d entries, want %d", gen, cache.Len(), n)
+		}
+	}
+}

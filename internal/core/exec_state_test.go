@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 )
 
 // sharedRefFiles: a base unit exports a ref; four sibling writers
@@ -202,5 +203,33 @@ func TestExecStepBudgetCumulative(t *testing.T) {
 		Stdout: io.Discard, Jobs: 8, MaxSteps: total}
 	if _, err := ok.Build(files); err != nil {
 		t.Errorf("build at exactly the required budget failed: %v", err)
+	}
+}
+
+// TestSessionStepsAreBuildSteps pins what the budget counts: the build's
+// session runs on a fresh machine forked from the prelude template, so
+// after a build its step count is exactly the build's exec.steps, with
+// none of the prelude's own steps — cold and warm, on both engines.
+func TestSessionStepsAreBuildSteps(t *testing.T) {
+	files := []core.File{
+		{Name: "s1.sml", Source: "fun f1 n = if n < 1 then 0 else f1 (n - 1)\nval a = f1 50"},
+		{Name: "s2.sml", Source: "val b = length (List.map (fn x => x + a) [1, 2, 3])"},
+	}
+	for _, eng := range []interp.Engine{interp.EngineClosure, interp.EngineTree} {
+		store := core.NewMemStore()
+		for _, phase := range []string{"cold", "warm"} {
+			m := core.NewManager()
+			m.Store = store
+			m.Engine = eng
+			session, err := m.Build(files)
+			if err != nil {
+				t.Fatalf("%s %s build: %v", eng, phase, err)
+			}
+			steps := m.Counters["exec.steps"]
+			if steps == 0 || session.Machine.Steps != uint64(steps) {
+				t.Errorf("%s %s: session machine counted %d steps, exec.steps %d",
+					eng, phase, session.Machine.Steps, steps)
+			}
+		}
 	}
 }

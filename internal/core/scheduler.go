@@ -105,22 +105,6 @@ func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
 func (h *intHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// frozenIndex builds the stamp index over the session's pre-build
-// context (basis + prelude): the frozen parent that every worker's
-// private rehydration overlay falls back to. It is never mutated once
-// workers start.
-func frozenIndex(ctxEnv *env.Env) *pickle.Index {
-	var layers []*env.Env
-	for e := ctxEnv; e != nil; e = e.Parent() {
-		layers = append(layers, e)
-	}
-	ix := pickle.NewIndex()
-	for i := len(layers) - 1; i >= 0; i-- {
-		ix.AddEnv(layers[i])
-	}
-	return ix
-}
-
 // jobs resolves the worker count: Manager.Jobs when positive, else
 // GOMAXPROCS, clamped to the number of units.
 func (m *Manager) jobs(units int) int {
@@ -151,10 +135,10 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	jobs := m.jobs(n)
 	bspan.Arg("jobs", jobs)
 
-	// Frozen shared inputs. Workers read these concurrently; nothing
-	// mutates them until every worker has drained.
-	baseCtx := session.Context
-	baseIx := frozenIndex(baseCtx)
+	// Frozen shared inputs: the basis and prelude the build's fresh
+	// session was forked from. Workers read them concurrently; nothing
+	// ever mutates them.
+	baseCtx, baseIx := session.Prelude()
 
 	idxOf := make(map[string]int, n)
 	for i, info := range order {
@@ -367,11 +351,10 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 		// Rehydrate against a private overlay: the frozen base plus
 		// this unit's dependency environments, never the (mutable)
 		// session index. The process-wide EnvCache sits in front of the
-		// decode: a warm interface pid skips the env segment entirely.
-		ix := pickle.NewOverlay(baseIx)
-		for _, de := range t.depEnvs {
-			ix.AddEnv(de)
-		}
+		// decode: a warm interface pid skips the env segment entirely,
+		// and with it the only reader of the overlay, which is
+		// therefore filled only when the env decode first consults it.
+		ix := pickle.NewLazyOverlay(baseIx, t.depEnvs)
 		u, err := binfile.ReadCachedObserved(t.entry.Bin, ix, m.envCache(), buf)
 		lspan.End()
 		buf.Add("time.load_ns", int64(lspan.Duration()))
@@ -563,6 +546,12 @@ func (m *Manager) commitUnit(res *unitResult, col *obs.Collector,
 	}
 
 	col.Add("build.executed", 1)
+	if t.entry != nil && t.entry.StatPid != res.unit.StatPid {
+		// The recompile superseded the stored interface: retire its
+		// rehydrated environment rather than leave it to the cache's
+		// byte budget.
+		m.envCache().Remove(t.entry.StatPid)
+	}
 	svspan := uspan.Child(obs.CatPhase, "save").Lane(0)
 	serr := m.Store.Save(name, &Entry{
 		SrcHash:  t.srcHash,

@@ -174,9 +174,11 @@ func (f *CompiledFn) build() (cnode, error) {
 
 // SetUnit records the owning unit's name on the whole compiled term.
 // Call it before the term executes; samples taken afterwards attribute
-// every function of the term to that unit.
+// every function of the term to that unit. A term that already carries
+// the name is not written, so machines on several goroutines may
+// register one shared, already-named term (the per-process prelude).
 func (f *CompiledFn) SetUnit(name string) {
-	if f != nil && f.tab != nil {
+	if f != nil && f.tab != nil && f.tab.unit != name {
 		f.tab.unit = name
 	}
 }
@@ -881,13 +883,11 @@ func leaf(e lambda.Exp) cnode {
 		return func(*Machine, *Frame) Value { return &ExnTag{Name: name} }
 	case *lambda.Builtin:
 		name := e.Name
-		return func(m *Machine, fr *Frame) Value {
-			v, ok := m.builtins[name]
-			if !ok {
-				m.crash("unknown builtin %q", name)
-			}
-			return v
+		v, ok := builtins[name]
+		if !ok {
+			return func(m *Machine, _ *Frame) Value { return m.crash("unknown builtin %q", name) }
 		}
+		return func(*Machine, *Frame) Value { return v }
 	}
 	panic(fmt.Sprintf("interp: leaf of %T", e))
 }
@@ -1120,7 +1120,7 @@ func (c *comp) prim(op string, es []lambda.Exp) cnode {
 						r := int64(x) + int64(y)
 						if (int64(x) > 0 && int64(y) > 0 && r < 0) ||
 							(int64(x) < 0 && int64(y) < 0 && r >= 0) {
-							m.raise(m.TagOverflow, nil)
+							m.raise(TagOverflow, nil)
 						}
 						return boxInt(r)
 					}
@@ -1135,7 +1135,7 @@ func (c *comp) prim(op string, es []lambda.Exp) cnode {
 						r := int64(x) - int64(y)
 						if (int64(x) >= 0 && int64(y) < 0 && r < 0) ||
 							(int64(x) < 0 && int64(y) > 0 && r >= 0) {
-							m.raise(m.TagOverflow, nil)
+							m.raise(TagOverflow, nil)
 						}
 						return boxInt(r)
 					}

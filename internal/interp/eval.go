@@ -52,13 +52,12 @@ type CrashError struct{ Msg string }
 
 func (e *CrashError) Error() string { return "runtime crash: " + e.Msg }
 
-// Machine evaluates lambda terms. Its Builtins table carries the
-// runtime identities of the basis exceptions; Stdout receives print
-// output. A Machine is safe to reuse across units; it is not safe for
-// concurrent evaluation.
+// Machine evaluates lambda terms; Stdout receives print output. A
+// Machine is safe to reuse across units; it is not safe for concurrent
+// evaluation. The basis exceptions' runtime identities are the
+// process-wide Tag* values, shared by every machine.
 type Machine struct {
-	Stdout   io.Writer
-	builtins map[string]Value
+	Stdout io.Writer
 	// Steps counts evaluation steps, for tests that bound divergence.
 	Steps    uint64
 	MaxSteps uint64 // 0 = unlimited
@@ -82,37 +81,39 @@ type Machine struct {
 	// (prof.go). The disabled fast path costs exactly one nil check in
 	// step and one in apply.
 	prof *machProf
-
-	// Pre-allocated basis exception tags.
-	TagMatch, TagBind, TagDiv, TagOverflow *ExnTag
-	TagSubscript, TagSize, TagChr, TagFail *ExnTag
 }
 
-// NewMachine returns a machine with the built-in exception tags
-// allocated and output directed to os.Stdout.
+// The basis exception tags. They are made once per process and never
+// mutated, so every machine raises exactly the tags that code built on
+// another machine — the per-process prelude every session is forked
+// from — binds and handles.
+var (
+	TagMatch     = &ExnTag{Name: "Match"}
+	TagBind      = &ExnTag{Name: "Bind"}
+	TagDiv       = &ExnTag{Name: "Div"}
+	TagOverflow  = &ExnTag{Name: "Overflow"}
+	TagSubscript = &ExnTag{Name: "Subscript"}
+	TagSize      = &ExnTag{Name: "Size"}
+	TagChr       = &ExnTag{Name: "Chr"}
+	TagFail      = &ExnTag{Name: "Fail"}
+)
+
+// builtins maps a lambda.Builtin name to its runtime value: the basis
+// exception tags. Read-only, so machines on any goroutine share it.
+var builtins = map[string]Value{
+	"Match":     TagMatch,
+	"Bind":      TagBind,
+	"Div":       TagDiv,
+	"Overflow":  TagOverflow,
+	"Subscript": TagSubscript,
+	"Size":      TagSize,
+	"Chr":       TagChr,
+	"Fail":      TagFail,
+}
+
+// NewMachine returns a machine with output directed to os.Stdout.
 func NewMachine() *Machine {
-	m := &Machine{
-		Stdout:       os.Stdout,
-		TagMatch:     &ExnTag{Name: "Match"},
-		TagBind:      &ExnTag{Name: "Bind"},
-		TagDiv:       &ExnTag{Name: "Div"},
-		TagOverflow:  &ExnTag{Name: "Overflow"},
-		TagSubscript: &ExnTag{Name: "Subscript"},
-		TagSize:      &ExnTag{Name: "Size"},
-		TagChr:       &ExnTag{Name: "Chr"},
-		TagFail:      &ExnTag{Name: "Fail"},
-	}
-	m.builtins = map[string]Value{
-		"Match":     m.TagMatch,
-		"Bind":      m.TagBind,
-		"Div":       m.TagDiv,
-		"Overflow":  m.TagOverflow,
-		"Subscript": m.TagSubscript,
-		"Size":      m.TagSize,
-		"Chr":       m.TagChr,
-		"Fail":      m.TagFail,
-	}
-	return m
+	return &Machine{Stdout: os.Stdout}
 }
 
 func (m *Machine) raise(tag *ExnTag, arg Value) Value {
@@ -272,7 +273,7 @@ func (m *Machine) eval(e lambda.Exp, env *Env) Value {
 		}
 		return m.prim(e.Op, args)
 	case *lambda.Builtin:
-		v, ok := m.builtins[e.Name]
+		v, ok := builtins[e.Name]
 		if !ok {
 			m.crash("unknown builtin %q", e.Name)
 		}
@@ -454,7 +455,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("%s of %s", op, String(args[0]))
 		}
 		if b == 0 {
-			m.raise(m.TagDiv, nil)
+			m.raise(TagDiv, nil)
 		}
 		if op == "quot" {
 			return IntV(int64(a) / int64(b))
@@ -467,7 +468,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		switch a := args[0].(type) {
 		case IntV:
 			if a == math.MinInt64 {
-				m.raise(m.TagOverflow, nil)
+				m.raise(TagOverflow, nil)
 			}
 			return IntV(-a)
 		case RealV:
@@ -481,7 +482,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		case IntV:
 			if a < 0 {
 				if a == math.MinInt64 {
-					m.raise(m.TagOverflow, nil)
+					m.raise(TagOverflow, nil)
 				}
 				return IntV(-a)
 			}
@@ -513,7 +514,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("chr of %s", String(args[0]))
 		}
 		if n < 0 || n > 255 {
-			m.raise(m.TagChr, nil)
+			m.raise(TagChr, nil)
 		}
 		return CharV(byte(n))
 	case "ord":
@@ -555,7 +556,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("substring args")
 		}
 		if i < 0 || n < 0 || int(i+n) > len(s) {
-			m.raise(m.TagSubscript, nil)
+			m.raise(TagSubscript, nil)
 		}
 		return StrV(s[i : i+n])
 	case "real":
@@ -568,28 +569,28 @@ func (m *Machine) prim(op string, args []Value) Value {
 		r := m.realArg(args[0])
 		f := math.Floor(r)
 		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(int64(f))
 	case "ceil":
 		r := m.realArg(args[0])
 		f := math.Ceil(r)
 		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(int64(f))
 	case "round":
 		r := m.realArg(args[0])
 		f := math.RoundToEven(r)
 		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(int64(f))
 	case "trunc":
 		r := m.realArg(args[0])
 		f := math.Trunc(r)
 		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(int64(f))
 	case "sqrt":
@@ -646,11 +647,11 @@ func (m *Machine) prim(op string, args []Value) Value {
 		}
 		return Bool(ev.Tag == tag)
 	case "raiseDiv":
-		m.raise(m.TagDiv, nil)
+		m.raise(TagDiv, nil)
 	case "raiseMatch":
-		m.raise(m.TagMatch, nil)
+		m.raise(TagMatch, nil)
 	case "raiseBind":
-		m.raise(m.TagBind, nil)
+		m.raise(TagBind, nil)
 	case "andb":
 		return WordV(m.wordArg(args[0]) & m.wordArg(args[1]))
 	case "orb":
@@ -673,7 +674,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("array size")
 		}
 		if n < 0 || n > 1<<28 {
-			m.raise(m.TagSize, nil)
+			m.raise(TagSize, nil)
 		}
 		elems := make([]Value, n)
 		for i := range elems {
@@ -697,7 +698,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("sub args")
 		}
 		if i < 0 || int(i) >= len(a.Elems) {
-			m.raise(m.TagSubscript, nil)
+			m.raise(TagSubscript, nil)
 		}
 		return a.Elems[i]
 	case "aupdate":
@@ -711,7 +712,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("update args")
 		}
 		if i < 0 || int(i) >= len(a.Elems) {
-			m.raise(m.TagSubscript, nil)
+			m.raise(TagSubscript, nil)
 		}
 		a.Elems[i] = t[2]
 		return Unit()
@@ -738,7 +739,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 			return m.crash("Vector.sub args")
 		}
 		if i < 0 || int(i) >= len(v) {
-			m.raise(m.TagSubscript, nil)
+			m.raise(TagSubscript, nil)
 		}
 		return v[i]
 	case "vlength":
@@ -750,7 +751,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 	case "wordToInt":
 		w := m.wordArg(args[0])
 		if w > math.MaxInt64 {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(int64(w))
 	case "intToWord":
@@ -784,7 +785,7 @@ func (m *Machine) arith(op string, a, b Value) Value {
 			overflow = x != 0 && (r/int64(x) != int64(y))
 		}
 		if overflow {
-			m.raise(m.TagOverflow, nil)
+			m.raise(TagOverflow, nil)
 		}
 		return IntV(r)
 	case RealV:
@@ -826,7 +827,7 @@ func (m *Machine) intdiv(a, b Value, wantMod bool) Value {
 			return m.crash("div of int and %s", String(b))
 		}
 		if y == 0 {
-			m.raise(m.TagDiv, nil)
+			m.raise(TagDiv, nil)
 		}
 		q := int64(x) / int64(y)
 		r := int64(x) % int64(y)
@@ -844,7 +845,7 @@ func (m *Machine) intdiv(a, b Value, wantMod bool) Value {
 			return m.crash("div of word and %s", String(b))
 		}
 		if y == 0 {
-			m.raise(m.TagDiv, nil)
+			m.raise(TagDiv, nil)
 		}
 		if wantMod {
 			return WordV(uint64(x) % uint64(y))

@@ -120,7 +120,7 @@ func TestDivByZeroRaisesDiv(t *testing.T) {
 	e := &lambda.Prim{Op: "div", Args: []lambda.Exp{lint(1), lint(0)}}
 	_, err := m.Eval(e, nil)
 	ue, ok := err.(*UncaughtError)
-	if !ok || ue.Packet.Tag != m.TagDiv {
+	if !ok || ue.Packet.Tag != TagDiv {
 		t.Errorf("div by zero: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestOverflowRaises(t *testing.T) {
 	}}
 	_, err := m.Eval(e, nil)
 	ue, ok := err.(*UncaughtError)
-	if !ok || ue.Packet.Tag != m.TagOverflow {
+	if !ok || ue.Packet.Tag != TagOverflow {
 		t.Errorf("overflow: %v", err)
 	}
 }

@@ -11,7 +11,9 @@
 // executes units only from the build's coordinator, in commit order,
 // so parallel builds never evaluate two units at once. A CompiledFn may
 // be applied from several machines at once: its body, built on first
-// call, is published atomically.
+// call, is published atomically. The basis exception tags and the
+// builtin table are process-wide and read-only, so machines on any
+// goroutine share them.
 package interp
 
 import (

@@ -37,6 +37,7 @@ func (f *Fragment) Env() *env.Env { return f.root }
 // indexed (a dependency accepted earlier) keep their binding. The
 // fragment itself is only read.
 func (ix *Index) AddFragment(f *Fragment) {
+	ix.fill()
 	if f == nil || f.root == nil || ix.seen(f.root) {
 		return
 	}
@@ -155,11 +156,7 @@ func (c *EnvCache) Insert(p pid.Pid, ce *CachedEnv) (evicted int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[p]; ok {
-		c.size -= el.Value.(*lruEntry).ce.cost()
-		c.lru.Remove(el)
-		delete(c.entries, p)
-	}
+	c.remove(p)
 	c.entries[p] = c.lru.PushFront(&lruEntry{key: p, ce: ce})
 	c.size += ce.cost()
 	for c.size > c.budget && c.lru.Len() > 1 {
@@ -171,6 +168,25 @@ func (c *EnvCache) Insert(p pid.Pid, ce *CachedEnv) (evicted int) {
 		evicted++
 	}
 	return evicted
+}
+
+// Remove drops the entry for p, if any. The build committer calls it
+// when a recompile gives a unit a new interface pid: the old pid's
+// entry would otherwise stay until the byte budget evicted it. Removing
+// only costs work — a later read of p misses and decodes afresh.
+func (c *EnvCache) Remove(p pid.Pid) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.remove(p)
+}
+
+// remove drops p's entry; c.mu must be held.
+func (c *EnvCache) remove(p pid.Pid) {
+	if el, ok := c.entries[p]; ok {
+		c.size -= el.Value.(*lruEntry).ce.cost()
+		c.lru.Remove(el)
+		delete(c.entries, p)
+	}
 }
 
 // Len reports the number of cached interfaces.

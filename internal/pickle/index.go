@@ -17,8 +17,8 @@ import (
 //
 // An Index is not safe for concurrent mutation. The parallel build
 // scheduler therefore never shares a mutable Index across workers:
-// it freezes a base index over the session context once per build and
-// gives each rehydrating worker a private overlay (NewOverlay) whose
+// its frozen base is the per-process prelude index, and each
+// rehydrating worker gets a private overlay (NewLazyOverlay) whose
 // lookups fall back to the frozen parent without ever writing to it.
 type Index struct {
 	byStamp map[stamps.Stamp]any
@@ -26,6 +26,9 @@ type Index struct {
 	// parent, when non-nil, is a frozen fallback index (see NewOverlay).
 	// Lookups and registrations never mutate it.
 	parent *Index
+	// pending holds the environments a lazy overlay registers when it
+	// is first consulted (see NewLazyOverlay).
+	pending []*env.Env
 	// Lookups counts stub resolutions, for the ablation bench comparing
 	// indexed against linear context search.
 	Lookups int
@@ -46,13 +49,48 @@ func NewOverlay(parent *Index) *Index {
 	return ix
 }
 
+// NewLazyOverlay returns an overlay of parent that registers envs, in
+// order, only when it is first consulted: its first lookup or
+// registration fills it exactly as AddEnv over envs on a NewOverlay
+// would have. A bin read whose environment comes from the EnvCache
+// never resolves a stub, so it never pays for the walk. A lazy overlay
+// is private to one goroutine and must not be the parent of another.
+func NewLazyOverlay(parent *Index, envs []*env.Env) *Index {
+	ix := NewOverlay(parent)
+	ix.pending = envs
+	return ix
+}
+
+// fill registers a lazy overlay's pending environments. Every exported
+// lookup and registration method calls it first; the registration
+// walks call those per object, so fill is only an inlined nil check
+// until there is something to register. It is kept out of get and
+// seen, which must stay inlinable for the same walks.
+func (ix *Index) fill() {
+	if ix.pending != nil {
+		ix.fillPending()
+	}
+}
+
+func (ix *Index) fillPending() {
+	envs := ix.pending
+	ix.pending = nil
+	for _, e := range envs {
+		ix.AddEnv(e)
+	}
+}
+
 // Len reports the number of indexed objects (excluding the parent's).
-func (ix *Index) Len() int { return len(ix.byStamp) }
+func (ix *Index) Len() int {
+	ix.fill()
+	return len(ix.byStamp)
+}
 
 // Lookup resolves a stamp to its object, consulting the parent chain
 // on a local miss. Only the receiving index's Lookups counter is
 // bumped: parents stay untouched.
 func (ix *Index) Lookup(s stamps.Stamp) (any, bool) {
+	ix.fill()
 	ix.Lookups++
 	return ix.get(s)
 }
@@ -132,6 +170,7 @@ func (ix *Index) add(s stamps.Stamp, obj any) {
 // and registers it. Safe to call repeatedly; already-visited objects
 // are skipped.
 func (ix *Index) AddEnv(e *env.Env) {
+	ix.fill()
 	if e == nil || ix.seen(e) {
 		return
 	}
@@ -173,6 +212,7 @@ func (ix *Index) addValBind(vb *env.ValBind) {
 
 // AddTycon registers a tycon and everything reachable from it.
 func (ix *Index) AddTycon(tc *types.Tycon) {
+	ix.fill()
 	if tc == nil || ix.seen(tc) {
 		return
 	}
@@ -222,6 +262,7 @@ func (ix *Index) addTy(t types.Ty) {
 
 // AddStructure registers a structure and its components.
 func (ix *Index) AddStructure(s *env.Structure) {
+	ix.fill()
 	if s == nil || ix.seen(s) {
 		return
 	}
@@ -232,6 +273,7 @@ func (ix *Index) AddStructure(s *env.Structure) {
 
 // AddFunctor registers a functor and its closure.
 func (ix *Index) AddFunctor(f *env.Functor) {
+	ix.fill()
 	if f == nil || ix.seen(f) {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -120,6 +121,49 @@ func TestReportDeterministicAcrossJobs(t *testing.T) {
 		}
 		if !bytes.Equal(want, buf.Bytes()) {
 			t.Errorf("irm-profile/1 report differs between -j1 and -j%d", jobs)
+		}
+	}
+}
+
+// TestConcurrentProfiledBuilds: two profiled builds running at once
+// register and sample the one shared prelude term; each report must be
+// byte-identical to a serial build's (run under -race).
+func TestConcurrentProfiledBuilds(t *testing.T) {
+	report := func(p *prof.Profile) []byte {
+		var buf bytes.Buffer
+		if err := p.Report("det").WriteJSON(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	for _, eng := range []interp.Engine{interp.EngineClosure, interp.EngineTree} {
+		want := report(buildProfiled(t, eng, 1))
+		var got [2][]byte
+		var wg sync.WaitGroup
+		for i := range got {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := core.NewManager()
+				m.Engine = eng
+				m.Jobs = 2
+				m.ProfilePeriod = 64
+				if _, err := m.Build([]core.File{
+					{Name: "a.sml", Source: profSourceA},
+					{Name: "b.sml", Source: profSourceB},
+				}); err != nil {
+					t.Errorf("%s concurrent build: %v", eng, err)
+					return
+				}
+				got[i] = report(m.Prof)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if !bytes.Equal(got[i], want) {
+				t.Errorf("%s: concurrent profiled build %d's irm-profile/1 report differs from the serial one", eng, i)
+			}
 		}
 	}
 }

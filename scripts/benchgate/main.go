@@ -68,7 +68,7 @@ func parseBench(path string) (map[string]float64, error) {
 
 func main() {
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
-	match := flag.String("match", `Pipeline(Parse|Compile|Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|ApplyHot|Build(Cold|Null)`,
+	match := flag.String("match", `Pipeline(Parse|Compile|Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|ApplyHot|Build(Cold|Null|Edit)`,
 		"regexp selecting which benchmarks gate the build")
 	flag.Parse()
 	if flag.NArg() != 2 {
